@@ -1,9 +1,9 @@
 """Shared fixtures and helpers for the benchmark harness.
 
 Every benchmark regenerates one of the paper's tables or figures (or an
-ablation the paper motivates), prints the rows/series it produced, and
-saves the same text under ``benchmarks/results/`` so the numbers recorded
-in EXPERIMENTS.md can be re-derived.
+ablation the paper motivates) and prints the rows/series it produced.
+With ``pytest --record-results`` it also saves the same text under
+``benchmarks/results/``; a plain run writes no tracked file.
 """
 
 from __future__ import annotations
@@ -20,8 +20,11 @@ from repro.gpu import fermi_gf100
 #: REPRO_BENCH_JOBS; CI runners typically have 2-4 cores).
 BENCH_JOBS = int(os.environ.get("REPRO_BENCH_JOBS", "2"))
 
-#: Where benchmark output tables are written.
+#: Where benchmark output tables are written (with ``--record-results``).
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
+
+#: Set from the ``--record-results`` option when the session starts.
+_RECORD_RESULTS = False
 
 #: Problem size for the Figure 1 / Figure 2 BFS run: the graph (CSR arrays
 #: plus the level array) is ~2.5x the aggregate L2 capacity of the GF100
@@ -34,10 +37,24 @@ ABLATION_BFS_NODES = 2048
 ABLATION_BFS_DEGREE = 8
 
 
+def pytest_addoption(parser):
+    parser.addoption(
+        "--record-results", action="store_true", default=False,
+        help="write benchmark tables to benchmarks/results/ (off by "
+             "default, so a plain test run leaves tracked files alone)")
+
+
+def pytest_configure(config):
+    global _RECORD_RESULTS
+    _RECORD_RESULTS = config.getoption("--record-results")
+
+
 def save_and_print(name: str, text: str) -> None:
-    """Print a result table and persist it under ``benchmarks/results``."""
-    RESULTS_DIR.mkdir(exist_ok=True)
-    (RESULTS_DIR / f"{name}.txt").write_text(text + "\n")
+    """Print a result table; with ``--record-results`` also persist it
+    under ``benchmarks/results``."""
+    if _RECORD_RESULTS:
+        RESULTS_DIR.mkdir(exist_ok=True)
+        (RESULTS_DIR / f"{name}.txt").write_text(text + "\n")
     print()
     print(text)
 

@@ -444,7 +444,8 @@ class GPU:
             _ATTRIBUTION[0] = None
 
     def _drive_skip(self, attribute: bool) -> None:
-        """Device-level skip variant of the cycle loop (vector backends).
+        """Device-level skip variant of the cycle loop (``fast`` and its
+        subclasses; the generic loop remains for the ``reference`` oracle).
 
         Mirrors each SM's cached wake time (``sm._sm_wake``) in a local
         array so a fully parked SM costs one comparison and one deque

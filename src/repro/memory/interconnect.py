@@ -143,16 +143,12 @@ class Interconnect:
             if heap and heap[0][0] <= now and output.full():
                 self.stats.add("output_blocked_cycles")
 
-    def has_output(self, destination: int) -> bool:
-        """Whether a delivered packet is waiting at ``destination``."""
-        return bool(self._outputs[destination])
-
     def output_raw(self, destination: int):
         """Raw (read-only) output deque at ``destination``.
 
-        For hot paths that poll delivery every cycle; testing the deque's
-        truthiness is equivalent to :meth:`has_output` without the method
-        and queue-object indirection.
+        Non-empty exactly while a delivered packet is waiting there.  For
+        hot paths that poll delivery every cycle: testing the deque's
+        truthiness needs no method or queue-object indirection.
         """
         return self._outputs[destination].raw()
 

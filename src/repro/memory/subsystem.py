@@ -33,15 +33,24 @@ class MemorySystem:
     """Interconnect + memory partitions, shared by all SMs.
 
     Unless constructed with ``reference_core=True``, :meth:`cycle` skips
-    its body entirely while the system is quiescent: after every
-    processed cycle the earliest future cycle at which any component can
-    change state is cached (via the same logic as
-    :meth:`next_event_time`), and calls before that wake-up time return
-    immediately.  :meth:`try_inject` lowers the wake-up time, so new
-    traffic from the SMs is never missed.  A skipped cycle is provably a
-    no-op — every component's per-cycle handler neither mutates state
-    nor touches a stat counter before its next event time — so the fast
-    and reference paths produce byte-identical results.
+    idle work at two levels:
+
+    * **per partition** — each partition has a cached wake time, its
+      :meth:`MemoryPartition.next_event_time` taken right after its last
+      tick.  A cycle ticks a partition only when that wake is due or the
+      request network has a delivered request waiting for it (delivery
+      makes it due at once: with ``rop_latency=0`` the request is due in
+      the same cycle);
+    * **whole system** — the earliest wake of the networks and the
+      cached partition wakes is cached in turn, and calls before it
+      return immediately.  :meth:`try_inject` lowers it, so new traffic
+      from the SMs is never missed.
+
+    A skipped tick is provably a no-op — every component's per-cycle
+    handler neither mutates state nor touches a stat counter before its
+    next event time, and a partition's state changes only inside its own
+    tick — so the fast and reference paths produce byte-identical
+    results.  The reference path ticks every partition every cycle.
     """
 
     def __init__(
@@ -87,6 +96,13 @@ class MemorySystem:
         # a request (its arrival becomes a new, possibly earlier event).
         self._next: float = 0
         self._next_stale = True
+        # Per-partition wake times (fast path only; 0 = due) and the
+        # raw request-network output deque of each partition.
+        self._partition_wake: List[float] = [0] * len(self.partitions)
+        self._delivered = [
+            self.request_network.output_raw(pid)
+            for pid in range(len(self.partitions))
+        ]
 
     # ------------------------------------------------------------------
     # SM-facing interface
@@ -149,16 +165,12 @@ class MemorySystem:
             self._next_stale = True
         return response
 
-    def has_response(self, sm_id: int) -> bool:
-        """Whether a response for ``sm_id`` is waiting to be popped."""
-        return self.reply_network.has_output(sm_id)
-
     def response_entries(self, sm_id: int):
         """Raw (read-only) view of ``sm_id``'s delivered-response queue.
 
-        Equivalent to polling :meth:`has_response` but without any method
-        indirection; cores that gate their per-cycle body on quiescence
-        cache this deque and test its truthiness every skipped cycle.
+        Non-empty exactly while a response for ``sm_id`` is waiting to be
+        popped; cores that gate their per-cycle body on quiescence cache
+        this deque and test its truthiness every skipped cycle.
         """
         return self.reply_network.output_raw(sm_id)
 
@@ -166,23 +178,31 @@ class MemorySystem:
     # Per-cycle processing
     # ------------------------------------------------------------------
     def cycle(self, now: int) -> None:
-        """Advance the networks and all partitions by one cycle.
+        """Advance the networks and the due partitions by one cycle.
 
         In fast mode (``reference_core=False``) the body is skipped while
-        ``now`` is before the cached wake-up time — see the class
-        docstring for why that is behaviour-identical.
+        ``now`` is before the cached wake-up time, and inside it only
+        partitions whose wake is due or that have a delivered request
+        waiting are ticked — see the class docstring for why that is
+        behaviour-identical.
         """
-        if now < self._wake and not self.reference_core:
+        reference = self.reference_core
+        if now < self._wake and not reference:
             return
         request_network = self.request_network
         request_network.cycle(now)
-        for partition in self.partitions:
-            if request_network.has_output(partition.partition_id):
+        partition_wake = self._partition_wake
+        delivered = self._delivered
+        for pid, partition in enumerate(self.partitions):
+            if not reference and now < partition_wake[pid] and not (
+                    delivered[pid]):
+                continue
+            if delivered[pid]:
                 while partition.can_accept():
-                    request = request_network.peek(partition.partition_id)
+                    request = request_network.peek(pid)
                     if request is None:
                         break
-                    request_network.pop(partition.partition_id)
+                    request_network.pop(pid)
                     partition.accept(request, now)
             partition.cycle(now)
             if partition.return_queue:
@@ -195,11 +215,15 @@ class MemorySystem:
                 ):
                     response = partition.return_queue.pop()
                     self.reply_network.inject(
-                        partition.partition_id, response.sm_id, response, now
+                        pid, response.sm_id, response, now
                     )
                     injected += 1
+            if not reference:
+                event_time = partition.next_event_time(now)
+                partition_wake[pid] = (_NEVER if event_time is None
+                                       else event_time)
         self.reply_network.cycle(now)
-        if not self.reference_core:
+        if not reference:
             self._wake = self._compute_wake(now)
             self._next = self._wake
             self._next_stale = False
@@ -209,7 +233,9 @@ class MemorySystem:
 
         The single enumeration of wake sources — :meth:`next_event_time`
         delegates here — with an early exit once any component reports
-        ``now + 1`` (nothing can be earlier).
+        ``now + 1`` (nothing can be earlier).  The fast path reads the
+        cached partition wakes: a partition's state changes only inside
+        its own tick, after which its wake is refreshed.
         """
         soon = now + 1
         best: float = _NEVER
@@ -219,6 +245,9 @@ class MemorySystem:
                 if event_time <= soon:
                     return soon
                 best = min(best, event_time)
+        if not self.reference_core:
+            event_time = min(self._partition_wake, default=_NEVER)
+            return soon if event_time <= soon else min(best, event_time)
         for partition in self.partitions:
             event_time = partition.next_event_time(now)
             if event_time is not None:

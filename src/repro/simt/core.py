@@ -52,6 +52,10 @@ from repro.simt.warp import Warp
 from repro.utils.errors import SimulationError
 from repro.utils.stats import StatCounters
 
+#: Sentinel wake time for "no future SM-local event" (sleep until a
+#: memory response arrives or a CTA is launched).
+_NEVER = float("inf")
+
 
 @dataclass
 class KernelLaunch:
@@ -153,8 +157,9 @@ class StreamingMultiprocessor:
     exact = True
     #: Whether the GPU may hoist this engine's quiescence gate to device
     #: level (see :meth:`repro.gpu.gpu.GPU._drive_skip`).  Requires the
-    #: ``_sm_wake``/``_reply_entries`` gate contract of the vector core;
-    #: the straight-line engines run their body every cycle.
+    #: ``_sm_wake``/``_reply_entries`` gate contract of :class:`FastCore`
+    #: (which the vector core inherits); the straight-line reference
+    #: engine runs its body every cycle.
     supports_device_skip = False
     #: LD/ST unit implementation this engine builds.  Backends may swap
     #: in a behaviour-identical subclass (the vector core uses the
@@ -656,9 +661,25 @@ class FastCore(StreamingMultiprocessor):
     conservative (a woken warp may re-park), which keeps the invariant
     simple: *any warp outside the ready set and the LD/ST-blocked set is
     not issuable*.
+
+    On top of the sets the core caches an *SM wake time*: when every
+    warp is parked on a sticky condition the whole per-cycle body is
+    skipped until the earliest cycle anything can change (ALU
+    completion, LD/ST event, or a memory response — the one
+    asynchronous wake source, checked explicitly).  A fully quiescent
+    cycle's only observable effect is the per-scheduler issue-idle
+    counters, which the skip replays, so the core opts in to the GPU's
+    device-level skip (``supports_device_skip``).
     """
 
     backend_name = "fast"
+
+    #: Opt in to the GPU's device-level quiescence skip: the per-cycle
+    #: body honours the ``_sm_wake``/``_reply_entries`` gate contract
+    #: (a gated cycle's only observable effect is the per-scheduler
+    #: issue-idle counters), so the GPU may evaluate the gate itself and
+    #: batch-replay the idle increments for whole skip windows.
+    supports_device_skip = True
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
@@ -672,6 +693,19 @@ class FastCore(StreamingMultiprocessor):
             {} for _ in range(self._num_schedulers)
         ]
         self._barrier_ctas: Set[int] = set()
+        self._sm_wake: float = 0.0
+        self._sm_next: float = 0.0
+        self._sm_next_stale = True
+        # Skipped cycles are the common case; keep their cost at a few
+        # C-level operations (deque truthiness + one prebound call).
+        self._reply_entries = self.memory_system.response_entries(self.sm_id)
+        self._inc_stat = self.stats.inc
+        self._miss_entries = self.ldst.miss_queue.raw()
+
+    def launch_cta(self, cta_id: int, launch: KernelLaunch, now: int) -> None:
+        super().launch_cta(cta_id, launch, now)
+        # New warps can issue next cycle; drop any cached quiescence.
+        self._sm_wake = 0.0
 
     # ------------------------------------------------------------------
     # Hook implementations
@@ -701,15 +735,25 @@ class FastCore(StreamingMultiprocessor):
     # Per-cycle processing
     # ------------------------------------------------------------------
     def cycle(self, now: int) -> bool:
-        """Event-accelerated cycle: only touch components with work.
+        """Event-accelerated cycle behind a cached SM quiescence gate.
 
         Every skipped step is a pure no-op in the reference path when its
         guarding state is empty (no state change and no stat counters),
         so per-cycle results are byte-identical to the reference engine's
-        :meth:`StreamingMultiprocessor.cycle`.
+        :meth:`StreamingMultiprocessor.cycle`.  While every resident warp
+        is parked the whole body is such a no-op except for the
+        per-scheduler issue-idle counters, which the gate replays.  The
+        cached wake covers every SM-local event (ALU completion, LD/ST
+        queue activity; barrier and candidate state change only inside
+        the body); the one asynchronous wake source — a memory response
+        — is checked explicitly each cycle.
         """
+        replies = self._reply_entries
+        if now < self._sm_wake and not replies:
+            self._inc_stat(self._slot_idle, self._num_schedulers)
+            return False
         ldst = self.ldst
-        if ldst.has_pending_writebacks():
+        if ldst._writebacks:
             ldst.process_writebacks(now)
         if self._alu_pipe:
             self._complete_alu(now)
@@ -719,8 +763,8 @@ class FastCore(StreamingMultiprocessor):
         if (
             ldst.instruction_queue
             or ldst.l1_access_queue
-            or ldst.miss_queue
-            or self.memory_system.has_response(self.sm_id)
+            or self._miss_entries
+            or replies
         ):
             ldst.cycle(now)
         if self._dirty_ctas:
@@ -728,7 +772,48 @@ class FastCore(StreamingMultiprocessor):
         if issued:
             self.tracker.note_issue_cycle(self.sm_id, now)
             self.stats.inc(self._slot_active)
+        if self._barrier_ctas or self._has_candidates():
+            # Warp state can change next cycle; the enumeration is only
+            # needed if the GPU stops without an issue, so defer it.
+            self._sm_wake = now + 1
+            self._sm_next_stale = True
+        else:
+            next_event = StreamingMultiprocessor.next_event_time(self, now)
+            self._sm_next = _NEVER if next_event is None else float(next_event)
+            self._sm_next_stale = False
+            self._sm_wake = self._sm_next
         return issued
+
+    def _has_candidates(self) -> bool:
+        """Whether any scheduler holds a ready or LD/ST-blocked warp."""
+        return any(self._ready) or any(self._ldst_blocked)
+
+    def next_event_time(self, now: int) -> Optional[int]:
+        """Cached base enumeration — identical to the other cores' value.
+
+        The enumeration only covers ALU and LD/ST event times (never the
+        warp-readiness state the wake cache tracks on top), and those
+        only change inside the per-cycle body, so a value computed at or
+        after the last body run stays exact until the next one.  The
+        cache is marked stale by each body run and refreshed on demand —
+        the GPU only asks for event times on stops where nothing issued,
+        so issuing cycles never pay for the enumeration.  A fresh value
+        always lies in the future (every enumerated time clamps to at
+        least ``now + 1``, and a stop at or past it runs the body, which
+        re-marks the cache stale); the non-positive branch is defensive
+        only.
+        """
+        if self._sm_next_stale:
+            next_event = super().next_event_time(now)
+            self._sm_next = _NEVER if next_event is None else float(next_event)
+            self._sm_next_stale = False
+            return next_event
+        next_event = self._sm_next
+        if next_event <= now:  # pragma: no cover - see docstring
+            return super().next_event_time(now)
+        if next_event == _NEVER:
+            return None
+        return int(next_event)
 
     def _release_barriers(self) -> None:
         # Only CTAs with at least one warp at a barrier (tracked at BAR

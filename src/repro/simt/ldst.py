@@ -196,10 +196,6 @@ class LoadStoreUnit:
     # ------------------------------------------------------------------
     # Writeback processing (called early in the SM cycle)
     # ------------------------------------------------------------------
-    def has_pending_writebacks(self) -> bool:
-        """Whether any writeback is scheduled (due now or later)."""
-        return bool(self._writebacks)
-
     def process_writebacks(self, now: int) -> None:
         """Complete requests whose writeback time has been reached."""
         while self._writebacks and self._writebacks[0][0] <= now:

@@ -16,14 +16,11 @@ fallbacks keep it exact everywhere:
   handling, and retirement — always) are handled scalar per cycle,
   where NumPy's per-call overhead would dominate.
 
-On top of the arrays the core caches an *SM wake time*: when every warp
-is parked on a sticky condition the whole per-cycle body is skipped
-until the earliest cycle anything can change (ALU completion, LD/ST
-event, or a memory response — the one asynchronous wake source, checked
-explicitly).  A fully quiescent fast-path cycle's only observable effect
-is the per-scheduler issue-idle counters, which the skip replays, so the
-vector core stays **byte-identical** to the reference engine and is
-pinned by the same golden-equivalence suite.
+The cached *SM wake time* and the device-level skip it enables are
+inherited from :class:`~repro.simt.core.FastCore`; this core only
+supplies its own candidate test (:meth:`VectorCore._has_candidates`)
+over the slot sets.  It stays **byte-identical** to the reference engine
+and is pinned by the same golden-equivalence suite.
 
 :class:`VectorEstimatorCore` (``estimator``) reuses all of the above but
 sets a LD/ST *time quantum*: memory completion times are rounded up to
@@ -48,7 +45,7 @@ from repro.simt.backend import (
     CoreBackend,
     register_core_backend,
 )
-from repro.simt.core import FastCore, KernelLaunch, StreamingMultiprocessor
+from repro.simt.core import FastCore, KernelLaunch
 from repro.simt.ldst import BatchedLoadStoreUnit
 from repro.simt.scheduler import (
     GreedyThenOldestScheduler,
@@ -57,10 +54,6 @@ from repro.simt.scheduler import (
 )
 from repro.simt.warp import Warp
 from repro.utils.errors import SimulationError
-
-#: Sentinel wake time for "no future SM-local event" (sleep until a
-#: memory response arrives or a CTA is launched).
-_NEVER = float("inf")
 
 #: Candidate sets at or below this size are evaluated by the scalar path;
 #: NumPy's per-call overhead dominates for tiny batches.  Both paths
@@ -132,13 +125,6 @@ class VectorCore(FastCore):
 
     backend_name = "vector"
 
-    #: Opt in to the GPU's device-level quiescence skip: the per-cycle
-    #: body honours the ``_sm_wake``/``_reply_entries`` gate contract
-    #: (a gated cycle's only observable effect is the per-scheduler
-    #: issue-idle counters), so the GPU may evaluate the gate itself and
-    #: batch-replay the idle increments for whole skip windows.
-    supports_device_skip = True
-
     #: Swap in the batch-tuned LD/ST unit (behaviour-identical to the
     #: base unit; see :class:`~repro.simt.ldst.BatchedLoadStoreUnit`).
     ldst_class = BatchedLoadStoreUnit
@@ -192,13 +178,6 @@ class VectorCore(FastCore):
                 self._sched_kind.append("gto")
             else:
                 self._sched_kind.append(None)
-        self._sm_wake: float = 0.0
-        self._sm_next: float = 0.0
-        self._sm_next_stale = True
-        # Skipped cycles are the common case; keep their cost at a few
-        # C-level operations (deque truthiness + one prebound call).
-        self._reply_entries = self.memory_system.response_entries(self.sm_id)
-        self._inc_stat = self.stats.inc
 
     # ------------------------------------------------------------------
     # Program admission
@@ -207,8 +186,6 @@ class VectorCore(FastCore):
         if launch.program is not self._vec_program:
             self._setup_program(launch.program)
         super().launch_cta(cta_id, launch, now)
-        # New warps can issue next cycle; drop any cached quiescence.
-        self._sm_wake = 0.0
 
     def _setup_program(self, program: Program) -> None:
         if self.ctas:
@@ -326,89 +303,12 @@ class VectorCore(FastCore):
         self._dirty[index].add(slot)
 
     # ------------------------------------------------------------------
-    # Per-cycle processing
+    # Quiescence gate
     # ------------------------------------------------------------------
-    def cycle(self, now: int) -> bool:
-        """FastCore cycle behind a cached SM quiescence gate.
-
-        While every resident warp is parked on a sticky condition the
-        fast-path body is a pure no-op except for the per-scheduler
-        issue-idle counters, which the skip replays — so skipped cycles
-        are byte-identical to executed quiescent ones.  The cached wake
-        covers every SM-local event (ALU completion, LD/ST queue
-        activity, barrier and candidate state change only inside the
-        body); the one asynchronous wake source — a memory response —
-        is checked explicitly each cycle.
-        """
-        replies = self._reply_entries
-        if now < self._sm_wake and not replies:
-            self._inc_stat(self._slot_idle, self._num_schedulers)
-            return False
-        # Inlined FastCore.cycle body (same stages, same order, same
-        # guards) with the memory-response poll replaced by the raw
-        # reply-deque truthiness the quiescence gate already uses.
-        ldst = self.ldst
-        if ldst._writebacks:
-            ldst.process_writebacks(now)
-        if self._alu_pipe:
-            self._complete_alu(now)
-        if self._barrier_ctas:
-            self._release_barriers()
-        issued = self._issue_stage(now)
-        if (
-            ldst.instruction_queue
-            or ldst.l1_access_queue
-            or ldst._miss_entries
-            or replies
-        ):
-            ldst.cycle(now)
-        if self._dirty_ctas:
-            self._retire_finished_ctas()
-        if issued:
-            self.tracker.note_issue_cycle(self.sm_id, now)
-            self.stats.inc(self._slot_active)
-        if self._barrier_ctas or (
-            (any(self._cand_slots) or any(self._blocked_slots))
-            if self._vector_mode
-            else (any(self._ready) or any(self._ldst_blocked))
-        ):
-            # Warp state can change next cycle; the enumeration is only
-            # needed if the GPU stops without an issue, so defer it.
-            self._sm_wake = now + 1
-            self._sm_next_stale = True
-        else:
-            next_event = StreamingMultiprocessor.next_event_time(self, now)
-            self._sm_next = _NEVER if next_event is None else float(next_event)
-            self._sm_next_stale = False
-            self._sm_wake = self._sm_next
-        return issued
-
-    def next_event_time(self, now: int) -> Optional[int]:
-        """Cached base enumeration — identical to the other cores' value.
-
-        The enumeration only covers ALU and LD/ST event times (never the
-        warp-readiness state the wake cache tracks on top), and those
-        only change inside the per-cycle body, so a value computed at or
-        after the last body run stays exact until the next one.  The
-        cache is marked stale by each body run and refreshed on demand —
-        the GPU only asks for event times on stops where nothing issued,
-        so issuing cycles never pay for the enumeration.  A fresh value
-        always lies in the future (every enumerated time clamps to at
-        least ``now + 1``, and a stop at or past it runs the body, which
-        re-marks the cache stale); the non-positive branch is defensive
-        only.
-        """
-        if self._sm_next_stale:
-            next_event = super().next_event_time(now)
-            self._sm_next = _NEVER if next_event is None else float(next_event)
-            self._sm_next_stale = False
-            return next_event
-        next_event = self._sm_next
-        if next_event <= now:  # pragma: no cover - see docstring
-            return super().next_event_time(now)
-        if next_event == _NEVER:
-            return None
-        return int(next_event)
+    def _has_candidates(self) -> bool:
+        if self._vector_mode:
+            return any(self._cand_slots) or any(self._blocked_slots)
+        return super()._has_candidates()
 
     # ------------------------------------------------------------------
     # Issue stage

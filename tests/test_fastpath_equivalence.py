@@ -104,9 +104,13 @@ def assert_results_identical(fast_results, reference_results):
                 == json.dumps(reference.stats, sort_keys=True))
 
 
-def compare_cores(config_name, workload_name, params, cores=None):
-    """Run on every exact core and assert all results byte-identical."""
-    config = get_config(config_name)
+def compare_cores(config, workload_name, params, cores=None):
+    """Run on every exact core and assert all results byte-identical.
+
+    ``config`` is a registered configuration name or a ``GPUConfig``.
+    """
+    if isinstance(config, str):
+        config = get_config(config)
     baseline = None
     for core in (cores or EXACT_CORES):
         results = run_workload(config.replace(core_backend=core),
@@ -402,7 +406,7 @@ class TestNextEventTimeInvariant:
 
         # _clock_check_hook is the dedicated seam: it fires at every
         # clock-advance decision of both cycle loops (the generic one
-        # and the vector backends' device-skip loop, which inlines its
+        # and the device-skip loop of fast and vector, which inlines its
         # clock advance and never calls _advance_clock).
         monkeypatch.setattr(GPUClass, "_clock_check_hook",
                             staticmethod(checked))
@@ -550,3 +554,99 @@ class TestBatchedLdstEdgeCases:
             other = run_workload(config.replace(core_backend=core),
                                  "microbench", params)
             assert_results_identical(other, baseline)
+
+
+#: Dependent loads the late-partition kernel chases through partition 0
+#: before its first access to the last partition.
+LATE_CHAIN = 6
+
+
+def build_late_partition_kernel():
+    """One thread chases dependent loads through partition 0, then stores
+    to the last partition.
+
+    Each load's address depends on the previous load's value (times
+    zero), so the chain is serial; the final store cannot leave the SM
+    until the chain ends.  The last partition therefore sits idle —
+    with nothing in flight and its cached wake at infinity — while the
+    first one serves the chain, and only then receives traffic.
+    """
+    builder = KernelBuilder("late-partition")
+    hops = [builder.param(f"hop{index}") for index in range(LATE_CHAIN)]
+    late = builder.param("late")
+    value = builder.reg()
+    address = builder.reg()
+    builder.mov(address, hops[0])
+    for hop in hops[1:] + [late]:
+        builder.ld_global(value, address)
+        builder.imad(address, value, 0, hop)
+    builder.st_global(address, value)
+    return builder.build()
+
+
+class TestPartitionWakeEdgeCases:
+    """Byte-identity on the per-partition wake paths of the memory system.
+
+    The fast path ticks a partition only when its cached wake is due or
+    the request network has delivered to it.  With ``rop_latency=0`` a
+    delivered request is due in the very cycle it arrives, so the
+    delivery wake must run the partition's tick that same cycle.
+    """
+
+    @staticmethod
+    def _config(rop_latency):
+        return make_fast_config().derive({"partition.rop_latency":
+                                          rop_latency})
+
+    @pytest.mark.parametrize("rop_latency", [4, 0])
+    def test_traffic_to_long_idle_partition(self, monkeypatch, rop_latency):
+        from repro.gpu.gpu import GPU as GPUClass
+
+        config = self._config(rop_latency)
+        program = build_late_partition_kernel()
+        idle_while_busy = []
+
+        def watch(gpu, issued):
+            memory = gpu.memory_system
+            if (memory.in_flight()
+                    and memory._partition_wake[-1] == float("inf")):
+                idle_while_busy.append(gpu.cycle)
+
+        def run(core):
+            gpu = GPU(config.replace(core_backend=core))
+            chunk = config.mapping.partition_chunk
+            partitions = config.mapping.num_partitions
+            base = gpu.allocate((LATE_CHAIN + 2) * partitions * chunk)
+            # First whole group of `partitions` chunks inside the buffer:
+            # chunk `group + i` lives in partition i.
+            group = -(-(base // chunk + 1) // partitions) * partitions
+            params = {f"hop{index}": (group + index * partitions) * chunk
+                      for index in range(LATE_CHAIN)}
+            params["late"] = (group + partitions - 1) * chunk
+            assert {config.mapping.partition_of(params[f"hop{index}"])
+                    for index in range(LATE_CHAIN)} == {0}
+            assert (config.mapping.partition_of(params["late"])
+                    == partitions - 1)
+            result = gpu.launch(program, grid_dim=1, block_dim=1,
+                                params=params)
+            late_accepted = gpu.memory_system.partitions[-1].stats.get(
+                "requests_accepted")
+            return result, late_accepted
+
+        monkeypatch.setattr(GPUClass, "_clock_check_hook",
+                            staticmethod(watch))
+        baseline, late_accepted = run("fast")
+        # The case only exists while the last partition really idles at
+        # an infinite wake before it is first used.
+        assert idle_while_busy
+        assert late_accepted == 1
+        monkeypatch.setattr(GPUClass, "_clock_check_hook", None)
+        for core in EXACT_CORES:
+            if core != "fast":
+                assert_results_identical([run(core)[0]], [baseline])
+
+    @pytest.mark.parametrize("workload_name",
+                             ["bfs", "microbench", "pointer_chase"])
+    def test_zero_rop_latency_workloads(self, workload_name):
+        compare_cores(self._config(0), workload_name,
+                      WORKLOAD_PARAMS[workload_name])
