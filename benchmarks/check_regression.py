@@ -29,24 +29,8 @@ Usage::
         --current bench-results.json \
         [--max-regression 0.25]
 
-Besides the per-benchmark means, the baseline may carry a top-level
-``ratio_gates`` list.  Each gate names two benchmarks from the *current*
-run and a minimum mean-time ratio between them::
-
-    "ratio_gates": [
-        {"name": "vector-vs-fast atlas speedup",
-         "numerator": "benchmarks/test_vector_core.py::test_fast_atlas_baseline",
-         "denominator": "benchmarks/test_vector_core.py::test_vector_atlas_matches_fast",
-         "min_ratio": 1.25}
-    ]
-
-Because both means come from the same run on the same machine, a ratio
-gate needs no drift correction at all — it asserts a *relative* property
-(e.g. "the vector core is at least 1.25x faster than the fast core on
-the atlas sweep") that holds regardless of runner speed.
-
 Exit codes: 0 = within threshold, 1 = regression (or a baseline benchmark
-disappeared, or a ratio gate failed), 2 = bad input files.
+disappeared), 2 = bad input files.
 """
 
 from __future__ import annotations
@@ -75,54 +59,6 @@ def load_means(path: str) -> Dict[str, float]:
         print(f"error: {path!r} contains no benchmarks", file=sys.stderr)
         raise SystemExit(2)
     return means
-
-
-def load_ratio_gates(path: str) -> List[dict]:
-    """The baseline's ``ratio_gates`` list (``[]`` when absent)."""
-    try:
-        with open(path) as handle:
-            data = json.load(handle)
-    except (OSError, ValueError) as exc:
-        print(f"error: cannot read benchmark JSON {path!r}: {exc}",
-              file=sys.stderr)
-        raise SystemExit(2) from exc
-    gates = data.get("ratio_gates", [])
-    for gate in gates:
-        missing = {"name", "numerator", "denominator",
-                   "min_ratio"} - set(gate)
-        if missing:
-            print(f"error: ratio gate {gate!r} missing key(s) "
-                  f"{sorted(missing)}", file=sys.stderr)
-            raise SystemExit(2)
-    return gates
-
-
-def check_ratio_gates(gates: List[dict],
-                      current: Dict[str, float]) -> List[str]:
-    """Enforce same-run ratio gates; returns failure descriptions.
-
-    Each gate asserts ``current[numerator] / current[denominator] >=
-    min_ratio``.  Both means come from the same run, so no drift
-    correction applies.  A gated benchmark missing from the current run
-    is itself a failure — a gate must not silently stop gating.
-    """
-    failures: List[str] = []
-    for gate in gates:
-        absent = [name for name in (gate["numerator"], gate["denominator"])
-                  if name not in current]
-        if absent:
-            failures.append(f"{gate['name']}: benchmark(s) did not run: "
-                            f"{', '.join(absent)}")
-            continue
-        ratio = current[gate["numerator"]] / current[gate["denominator"]]
-        verdict = "ok" if ratio >= gate["min_ratio"] else "FAILED"
-        print(f"ratio gate {gate['name']!r}: {ratio:.2f}x "
-              f"(minimum {gate['min_ratio']:.2f}x) {verdict}")
-        if ratio < gate["min_ratio"]:
-            failures.append(
-                f"{gate['name']}: {ratio:.2f}x below the required "
-                f"{gate['min_ratio']:.2f}x")
-    return failures
 
 
 def format_markdown_summary(
@@ -249,30 +185,9 @@ def main(argv=None) -> int:
         print(f"{short:60s} {baseline[name]:10.4f} {current[name]:10.4f} "
               f"{corrected:9.2f}x{flag}")
 
-    gates = load_ratio_gates(args.baseline)
-    ratio_failures: List[str] = []
-    summary = format_markdown_summary(
+    write_step_summary(format_markdown_summary(
         baseline, current, shared, added, drift, threshold, failures,
-        speedup=speedup)
-    if gates:
-        print()
-        ratio_failures = check_ratio_gates(gates, current)
-        lines = ["", "### Ratio gates (same-run, drift-immune)", ""]
-        for gate in gates:
-            if (gate["numerator"] in current
-                    and gate["denominator"] in current):
-                ratio = (current[gate["numerator"]]
-                         / current[gate["denominator"]])
-                ok = ratio >= gate["min_ratio"]
-                status = (":white_check_mark: ok" if ok
-                          else ":x: below minimum")
-                lines.append(f"- **{gate['name']}**: {ratio:.2f}x "
-                             f"(minimum {gate['min_ratio']:.2f}x) {status}")
-            else:
-                lines.append(f"- **{gate['name']}**: :x: gated "
-                             f"benchmark(s) missing from this run")
-        summary += "\n".join(lines) + "\n"
-    write_step_summary(summary)
+        speedup=speedup))
 
     if failures:
         print(f"\n{len(failures)} benchmark(s) regressed more than "
@@ -281,14 +196,7 @@ def main(argv=None) -> int:
         for name in failures:
             print(f"  - {name}", file=sys.stderr)
         return 1
-    if ratio_failures:
-        print(f"\n{len(ratio_failures)} ratio gate(s) failed:",
-              file=sys.stderr)
-        for line in ratio_failures:
-            print(f"  - {line}", file=sys.stderr)
-        return 1
-    print(f"\nall {len(shared)} benchmark(s) within threshold"
-          + (f"; {len(gates)} ratio gate(s) ok" if gates else ""))
+    print(f"\nall {len(shared)} benchmark(s) within threshold")
     return 0
 
 

@@ -85,10 +85,9 @@ simulating — the stderr progress stream labels each record ``cache``,
 ``store``, or ``simulated``, and a final stderr line counts them — and
 fresh results are written back, which makes interrupted sweeps
 resumable.  Every experiment subcommand also accepts ``--core NAME`` to
-pick the simulation-core backend (``repro cores`` lists them):
-``reference``, ``fast``, and ``vector`` are byte-identical and share
-stored results; ``estimator`` trades exact cycle counts for speed and
-is stored separately.  The older ``--reference-core`` flag remains as a
+pick the simulation-core backend (``repro cores`` lists them): the
+default ``fast`` core and the ``reference`` oracle are byte-identical
+and share stored results.  The older ``--reference-core`` flag remains as a
 deprecated alias for ``--core reference``.
 """
 
@@ -123,7 +122,6 @@ from repro.gpu import available_configs, get_config
 from repro.simt.backend import (
     CORE_BACKENDS,
     available_core_backends,
-    parse_core_spec,
     resolve_reference_core,
 )
 from repro.sensitivity import (
@@ -453,8 +451,6 @@ def _print_scenario(record: RunRecord) -> None:
     print()
     print(f"wall cycles: {record.total_cycles}  "
           f"(sum of kernel windows: {payload['sum_kernel_cycles']})")
-    if payload.get("core"):
-        print(f"core: {payload['core']} (estimated cycle counts)")
     unattributed = payload.get("unattributed", {})
     attributed = sum(sum(launch["stats"].values())
                      for launch in record.launches)
@@ -761,43 +757,20 @@ def _cmd_transforms(args: argparse.Namespace) -> int:
     return 0
 
 
-def _format_core_option(option) -> str:
-    default = "adaptive" if option.default is None else repr(option.default)
-    return f"{option.name}:{option.type.__name__}={default}"
-
-
 def _cmd_cores(args: argparse.Namespace) -> int:
     if args.json:
         report = {
             "cores": [
-                {
-                    "name": name,
-                    "exact": CORE_BACKENDS.get(name).exact,
-                    "description": CORE_BACKENDS.describe(name),
-                    "options": [
-                        {
-                            "name": option.name,
-                            "type": option.type.__name__,
-                            "default": option.default,
-                            "description": option.description,
-                        }
-                        for option in CORE_BACKENDS.get(name).options
-                    ],
-                }
+                {"name": name, "description": CORE_BACKENDS.describe(name)}
                 for name in available_core_backends()
             ],
             "core_count": len(available_core_backends()),
         }
         print(json.dumps(report, indent=2, sort_keys=True))
         return 0
-    rows = []
-    for name in available_core_backends():
-        backend = CORE_BACKENDS.get(name)
-        options = ", ".join(_format_core_option(option)
-                            for option in backend.options) or "-"
-        rows.append([name, "yes" if backend.exact else "no", options,
-                     CORE_BACKENDS.describe(name)])
-    print(format_table(["name", "exact", "options", "description"], rows,
+    rows = [[name, CORE_BACKENDS.describe(name)]
+            for name in available_core_backends()]
+    print(format_table(["name", "description"], rows,
                        title="Registered simulation-core backends"))
     return 0
 
@@ -830,14 +803,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_reference_core_flag(subparser: argparse.ArgumentParser) -> None:
         subparser.add_argument(
-            "--core", metavar="NAME[:KEY=VALUE,...]",
-            help="simulation-core backend to run on, optionally with "
-                 "backend options, e.g. 'estimator:time_quantum=16' "
-                 "(see 'repro cores' for backends and their options); "
-                 "reference/fast/vector are byte-identical and share "
-                 "stored results, estimator is approximate and stored "
-                 "separately (default: each configuration's own choice, "
-                 "normally 'fast')")
+            "--core", metavar="NAME",
+            help="simulation-core backend to run on (see 'repro cores'); "
+                 "fast and reference are byte-identical and share "
+                 "stored results (default: each configuration's own "
+                 "choice, normally 'fast')")
         subparser.add_argument(
             "--reference-core", action="store_true",
             help="deprecated alias for --core reference")
@@ -1226,15 +1196,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    core_spec = getattr(args, "core", None)
-    core: Optional[str] = None
-    core_options = {}
-    if core_spec:
-        try:
-            core, core_options = parse_core_spec(core_spec)
-        except ConfigurationError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+    core: Optional[str] = getattr(args, "core", None)
     if getattr(args, "reference_core", False):
         conflict: Optional[ConfigurationError] = None
         with warnings.catch_warnings(record=True) as caught:
@@ -1259,7 +1221,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         _register_bundle_dirs(args.bundle_dir or [])
         args.session = Session(
             core=core,
-            core_options=core_options,
             store=getattr(args, "store", None))
         result = args.func(args)
         _report_counters(args)

@@ -92,14 +92,12 @@ def _start_method() -> str:
 
 
 def _init_worker(configs: Dict[str, GPUConfig],
-                 core: Optional[str] = None,
-                 core_options: Optional[Dict[str, Any]] = None) -> None:
+                 core: Optional[str] = None) -> None:
     """Pool initializer: build this worker's long-lived session once."""
     global _WORKER_SESSION
     from repro.experiments.session import Session  # deferred: avoid cycle
 
-    _WORKER_SESSION = Session(cache=True, configs=configs, core=core,
-                              core_options=core_options)
+    _WORKER_SESSION = Session(cache=True, configs=configs, core=core)
 
 
 def _run_in_worker(
@@ -164,10 +162,6 @@ class ParallelExecutor:
     reference_core:
         **Deprecated** alias for ``core="reference"``; emits a
         :class:`DeprecationWarning`.
-    core_options:
-        Backend-specific construction options propagated into every
-        worker's session alongside ``core`` (see
-        :class:`~repro.experiments.session.Session`).
     """
 
     def __init__(self, jobs: Optional[int] = None,
@@ -175,8 +169,7 @@ class ParallelExecutor:
                  mp_context: Union[str, Any, None] = None,
                  core: Optional[str] = None,
                  reference_core: bool = False,
-                 core_backend: Optional[str] = None,
-                 core_options: Optional[Mapping[str, Any]] = None) -> None:
+                 core_backend: Optional[str] = None) -> None:
         if jobs is not None and jobs < 1:
             raise ExperimentError(f"jobs must be >= 1, got {jobs}")
         if core_backend is not None:
@@ -196,7 +189,6 @@ class ParallelExecutor:
         self.jobs = jobs or default_jobs()
         self._configs = dict(configs or {})
         self._core = core
-        self._core_options = dict(core_options or {})
         if mp_context is None:
             mp_context = _start_method()
         if isinstance(mp_context, str):
@@ -220,7 +212,7 @@ class ParallelExecutor:
                 max_workers=self.jobs,
                 mp_context=self._mp_context,
                 initializer=_init_worker,
-                initargs=(self._configs, self._core, self._core_options),
+                initargs=(self._configs, self._core),
             )
         return self._pool
 

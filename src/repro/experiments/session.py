@@ -62,11 +62,7 @@ from repro.experiments.spec import (
 )
 from repro.gpu import GPU, get_config, table_i_generations
 from repro.gpu.config import GPUConfig
-from repro.simt.backend import (
-    core_backend_is_exact,
-    resolve_reference_core,
-    validate_core_options,
-)
+from repro.simt.backend import get_core_backend, resolve_reference_core
 from repro.utils.errors import ExperimentError
 from repro.workloads import create_workload
 from repro.workloads.base import Workload
@@ -131,9 +127,8 @@ class Session:
         to :class:`GPUConfig` consulted before the global registry.  Use
         :meth:`add_config` to add ad-hoc variants (ablation studies).
     core:
-        Optional simulation-core backend name (``"reference"``,
-        ``"fast"``, ``"vector"``, ``"estimator"``, or anything
-        registered through
+        Optional simulation-core backend name (``"fast"``,
+        ``"reference"``, or anything registered through
         :func:`~repro.simt.backend.register_core_backend`).  When set,
         every configuration this session resolves runs on that backend;
         when ``None`` (the default) each configuration's own
@@ -141,12 +136,6 @@ class Session:
         of the CLI's ``--core`` flag.  ``core_backend=`` is accepted as
         an equivalent alias (matching the :class:`GPUConfig` field
         name); passing both with different values is an error.
-    core_options:
-        Backend-specific options applied alongside ``core`` (the
-        programmatic face of ``--core name:key=value``), e.g.
-        ``Session(core="estimator", core_options={"time_quantum": 16})``.
-        Keys are validated eagerly against the backend's declared
-        options; requires ``core`` to be set.
     reference_core:
         **Deprecated** boolean predecessor of ``core``.
         ``Session(reference_core=True)`` still works: it emits a
@@ -169,8 +158,7 @@ class Session:
                  core: Optional[str] = None,
                  reference_core: bool = False,
                  store: Union[None, str, os.PathLike, Any] = None,
-                 core_backend: Optional[str] = None,
-                 core_options: Optional[Mapping[str, Any]] = None) -> None:
+                 core_backend: Optional[str] = None) -> None:
         self.cache_enabled = cache
         if core_backend is not None:
             # ``core_backend=`` is a first-class alias for ``core=`` so
@@ -188,17 +176,11 @@ class Session:
             conflict_error=ExperimentError,
             stacklevel=3,
         )
+        if core is not None:
+            # Fail here, naming the registered backends, not at the
+            # first simulation (a store hit would never reach it).
+            get_core_backend(core)
         self.core = core
-        self.core_options: Dict[str, Any] = dict(core_options or {})
-        if self.core_options:
-            if core is None:
-                raise ExperimentError(
-                    "core_options requires core= to name the backend "
-                    "the options configure"
-                )
-            # Fail at session construction, not at the first run, so a
-            # typo in an option name surfaces immediately.
-            validate_core_options(core, self.core_options)
         self._cache: Dict[str, RunRecord] = {}
         self._local_configs: Dict[str, GPUConfig] = dict(configs or {})
         self.cache_hits = 0
@@ -235,12 +217,8 @@ class Session:
             config = self._local_configs[name]
         else:
             config = get_config(name)
-        if self.core is not None:
-            if config.core_backend != self.core:
-                config = config.replace(core_backend=self.core)
-            if (self.core_options
-                    and dict(config.core_options) != self.core_options):
-                config = config.replace(core_options=self.core_options)
+        if self.core is not None and config.core_backend != self.core:
+            config = config.replace(core_backend=self.core)
         return config
 
     # ------------------------------------------------------------------
@@ -405,8 +383,7 @@ class Session:
             unique = [specs[indices[0]] for indices in pending.values()]
             with ParallelExecutor(jobs=jobs,
                                   configs=self._local_configs,
-                                  core=self.core,
-                                  core_options=self.core_options) as executor:
+                                  core=self.core) as executor:
                 for completed in executor.imap(unique):
                     indices = pending[completed.spec_hash]
                     record = completed.record
@@ -607,13 +584,6 @@ class Session:
             "breakdown": breakdown_to_dict(breakdown),
             "exposure": exposure_to_dict(exposure),
         }
-        # Approximate backends label their results so nothing downstream
-        # mistakes estimated cycle counts for exact ones.  Exact backends
-        # add no key: their payloads stay byte-identical to each other
-        # (and to records produced before backends existed).
-        if not core_backend_is_exact(config.core_backend):
-            payload["core"] = config.core_backend
-            payload["estimated_cycles"] = True
         return RunRecord(
             experiment=experiment.to_dict(),
             kind="dynamic",
@@ -705,9 +675,6 @@ class Session:
             "device_stats": device_stats,
             "unattributed": unattributed,
         }
-        if not core_backend_is_exact(config.core_backend):
-            payload["core"] = config.core_backend
-            payload["estimated_cycles"] = True
         return RunRecord(
             experiment=experiment.to_dict(),
             kind="scenario",

@@ -81,11 +81,10 @@ def check_registry_coverage() -> None:
         )
 
 
-#: Core backends the smoke matrix exercises by default.  The reference
-#: core is deliberately absent (it is the slow golden baseline, pinned
-#: by the equivalence tests instead); a session constructed with an
-#: explicit ``core`` restricts the matrix to that one backend.
-SMOKE_CORES = ("fast", "vector")
+#: Core backends the smoke matrix exercises by default: the default
+#: ``fast`` core and the ``reference`` oracle.  A session constructed
+#: with an explicit ``core`` restricts the matrix to that one backend.
+SMOKE_CORES = ("fast", "reference")
 
 
 def smoke_workloads() -> Dict[str, Dict[str, Any]]:
@@ -171,8 +170,6 @@ def run_smoke(session, jobs: Optional[int] = 1,
                 "launches": len(record.launches),
                 "verified": bool(record.payload.get("verified", False)),
             })
-    estimator = _estimator_accuracy(session, grid, report_runs, cores,
-                                    jobs=jobs, progress=progress)
     workloads = sorted({workload for workload, _ in grid})
     bundles = sorted(bundle_workload_names())
     configs = available_configs()
@@ -192,78 +189,6 @@ def run_smoke(session, jobs: Optional[int] = 1,
         # store.  CI's store step asserts "simulated == 0" on a warm run.
         "counters": counters,
         "runs": report_runs,
-        # Estimator accuracy leg (see _estimator_accuracy): not part of
-        # the exact matrix, so it contributes to none of the counts
-        # above.  None when the leg does not apply.
-        "estimator": estimator,
-    }
-
-
-def _estimator_accuracy(session, grid, exact_runs, cores,
-                        jobs: Optional[int] = 1,
-                        progress: Optional[
-                            Callable[[int, int, RunRecord], None]] = None
-                        ) -> Optional[Dict[str, Any]]:
-    """Run the smoke grid on the ``estimator`` core and report its error.
-
-    The estimator trades exactness for speed (LD/ST completion times
-    rounded to quantum boundaries), and its documented contract is a
-    cycle-count error within :data:`repro.simt.vector.
-    ESTIMATOR_CYCLE_ERROR_BOUND` of an exact core.  This leg re-runs the
-    whole smoke grid with ``core="estimator"`` and compares each cell's
-    ``total_cycles`` against the first (exact) core's pass, so the CI
-    smoke job can assert the bound holds across the *entire* registry
-    cross product — not just the four benchmark workloads.
-
-    Returns ``None`` (and runs nothing) when the leg does not apply:
-    the first smoke core is not an exact backend, or the estimator
-    backend is not registered.  The estimator runs are deliberately
-    *not* appended to the report's ``runs``/``total_runs`` — those
-    counts describe the exact matrix that CI asserts against.
-    """
-    from repro.simt.backend import CORE_BACKENDS, core_backend_is_exact
-    from repro.simt.vector import (
-        ESTIMATOR_CYCLE_ERROR_BOUND,
-        adaptive_quantum_for_partition,
-    )
-
-    if "estimator" not in CORE_BACKENDS:
-        return None
-    if not cores or not core_backend_is_exact(cores[0]):
-        return None
-    from repro.experiments.session import Session
-
-    est_session = Session(cache=session.cache_enabled,
-                          configs=session._local_configs,
-                          core="estimator", store=session.store)
-    runs = est_session.run_all(list(grid.values()), jobs=jobs,
-                               progress=progress)
-    cells = []
-    worst = 0.0
-    for index, ((workload, config), record) in enumerate(
-            zip(grid.keys(), runs)):
-        exact_cycles = exact_runs[index]["cycles"]
-        estimated = record.total_cycles
-        error = (abs(estimated - exact_cycles) / exact_cycles
-                 if exact_cycles else 0.0)
-        worst = max(worst, error)
-        quantum = adaptive_quantum_for_partition(
-            est_session.resolve_config(config).partition)
-        cells.append({
-            "workload": workload,
-            "config": config,
-            "exact_cycles": exact_cycles,
-            "estimated_cycles": estimated,
-            "error": error,
-            "time_quantum": quantum,
-        })
-    return {
-        "bound": ESTIMATOR_CYCLE_ERROR_BOUND,
-        "worst_error": worst,
-        "within_bound": all(cell["error"] <= ESTIMATOR_CYCLE_ERROR_BOUND
-                            for cell in cells),
-        "cell_count": len(cells),
-        "cells": cells,
     }
 
 

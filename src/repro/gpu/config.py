@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Any, Dict, Mapping, Optional, Union
+from typing import Any, Mapping, Optional, Union
 
 from repro.memory.address import AddressMapping
 from repro.memory.interconnect import InterconnectConfig
@@ -59,32 +59,16 @@ class GPUConfig:
     core:
         Per-SM configuration (schedulers, pipelines, L1).  As a
         convenience, a backend *name* string may be passed here
-        (``GPUConfig(core="vector")``); it is moved to
+        (``GPUConfig(core="reference")``); it is moved to
         :attr:`core_backend` and the per-SM configuration falls back to
         the :class:`CoreConfig` defaults.
     core_backend:
         Name of the registered simulation-core backend that executes
         this configuration's SMs (see :mod:`repro.simt.backend`).
-        Built-ins: ``"reference"`` (trusted straight-line loop),
-        ``"fast"`` (event-skipping ready sets, the default),
-        ``"vector"`` (NumPy batch core, byte-identical), and
-        ``"estimator"`` (vector core with quantized memory timing —
-        approximate cycle counts, keyed separately in the result
-        store).  Validated against the registry when a
+        Built-ins: ``"fast"`` (the event-driven core, the default)
+        and ``"reference"`` (the trusted straight-line oracle); both
+        are byte-identical.  Validated against the registry when a
         :class:`~repro.gpu.gpu.GPU` is built.
-    core_options:
-        Backend-specific construction options, e.g.
-        ``GPUConfig(core_backend="estimator",
-        core_options={"time_quantum": 16})``.  Keys are validated
-        eagerly against the backend's declared
-        :attr:`~repro.simt.backend.CoreBackend.options` when a GPU is
-        built — an unknown key raises
-        :class:`~repro.utils.errors.ConfigurationError` naming the
-        backend and the key.  The options are part of this
-        configuration's ``repr`` (stored key-sorted, so the form is
-        canonical) and therefore of the persistent store's
-        ``config_hash``: results produced under different options are
-        never served for one another.
     interconnect:
         Crossbar parameters shared by the request and reply networks.
     mapping:
@@ -115,11 +99,10 @@ class GPUConfig:
     max_cycles: int = 50_000_000
     core_backend: str = "fast"
     reference_core: bool = False
-    core_options: Mapping[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if isinstance(self.core, str):
-            # GPUConfig(core="vector"): a backend name in the core slot.
+            # GPUConfig(core="reference"): a backend name in the core slot.
             object.__setattr__(self, "core_backend", self.core)
             object.__setattr__(self, "core", CoreConfig())
         if not isinstance(self.core_backend, str) or not self.core_backend:
@@ -127,32 +110,6 @@ class GPUConfig:
                 "core_backend must be a non-empty backend name (see "
                 "repro.simt.backend.available_core_backends())"
             )
-        if not isinstance(self.core_options, Mapping):
-            raise ConfigurationError(
-                "core_options must be a mapping of option name to value, "
-                f"got {type(self.core_options).__name__}"
-            )
-        if any(not isinstance(key, str) for key in self.core_options):
-            raise ConfigurationError("core_options keys must be strings")
-        # Canonical key-sorted form, so equal option sets always repr —
-        # and therefore store-fingerprint — identically.
-        normalized: Dict[str, Any] = {
-            key: self.core_options[key] for key in sorted(self.core_options)
-        }
-        if normalized:
-            # Eager rejection of unknown option keys (and coercion of
-            # values to their declared types, e.g. "16" -> 16, so equal
-            # settings fingerprint identically).  Gated on the backend
-            # being registered: an unregistered name stays untouched
-            # here and fails with the full backend-unknown diagnostic
-            # at GPU construction instead.
-            from repro.simt.backend import (CORE_BACKENDS,
-                                            validate_core_options)
-
-            if self.core_backend in CORE_BACKENDS:
-                normalized = validate_core_options(self.core_backend,
-                                                   normalized)
-        object.__setattr__(self, "core_options", normalized)
         if self.reference_core:
             # Deferred import: repro.simt.backend is dependency-free, but
             # keeping it out of the module header mirrors the lazy

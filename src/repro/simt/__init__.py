@@ -26,7 +26,6 @@ from repro.simt.scheduler import (
 )
 from repro.simt.scoreboard import Scoreboard
 from repro.simt.simt_stack import SIMTStack, StackEntry
-from repro.simt.vector import VectorCore, VectorEstimatorCore
 from repro.simt.warp import Warp
 
 __all__ = [
@@ -46,8 +45,6 @@ __all__ = [
     "Scoreboard",
     "StackEntry",
     "StreamingMultiprocessor",
-    "VectorCore",
-    "VectorEstimatorCore",
     "Warp",
     "WarpScheduler",
     "available_core_backends",

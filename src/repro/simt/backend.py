@@ -1,17 +1,15 @@
 """Simulation-core backend registry.
 
-The SM has grown more than one implementation of its per-cycle engine:
-the trusted straight-line :class:`~repro.simt.core.StreamingMultiprocessor`
-(``reference``), the event-skipping ready-set core from PR 3 (``fast``),
-and the vectorized batch core (``vector`` — plus its approximate
-``estimator`` variant) from :mod:`repro.simt.vector`.  This module gives
-them a front door in the same style as ``register_workload`` /
-``register_config`` / ``register_store``: a :class:`CoreBackend`
-descriptor registered by name in an open :class:`~repro.utils.registry
-.Registry`, so a fourth backend is one ``register_core_backend`` call
-away and every consumer (``GPUConfig.core_backend``, ``Session(core=...)``,
-``repro --core``, the store's ``config_hash``) dispatches through the
-same names.
+The SM has two implementations of its per-cycle engine, both in
+:mod:`repro.simt.core`: the trusted straight-line
+:class:`~repro.simt.core.StreamingMultiprocessor` (``reference``, the
+oracle) and the event-driven :class:`~repro.simt.core.FastCore`
+(``fast``, the default).  This module gives them a front door in the
+same style as ``register_workload`` / ``register_config`` /
+``register_store``: a :class:`CoreBackend` descriptor registered by name
+in an open :class:`~repro.utils.registry.Registry`, so every consumer
+(``GPUConfig.core_backend``, ``Session(core=...)``, ``repro --core``,
+the store's ``config_hash``) dispatches through the same names.
 
 The backend contract
 --------------------
@@ -29,8 +27,8 @@ A backend's :attr:`~CoreBackend.factory` must build an object with the
   the GPU's idle fast-forward clock;
 * ``collect_stats()`` / ``stats`` — counter collection.
 
-**Parked-warp invariant** (established by PR 3, inherited by every
-event-driven backend): a warp outside the backend's ready/candidate set
+**Parked-warp invariant** (upheld by every event-driven backend): a
+warp outside the backend's ready/candidate set
 and its LD/ST-blocked set must not be issuable.  A warp may leave the
 candidate set only when it is observed blocked on a *sticky* condition,
 and must be re-inserted no later than the cycle that condition can
@@ -45,30 +43,19 @@ correctness.
 Exactness
 ---------
 
-``exact=True`` declares that the backend produces **byte-identical**
-results to the ``reference`` core — same cycle counts, same stats
-dictionaries, same serialized records — for every workload and
-configuration (this is what the golden-equivalence suite pins).  Exact
-backends share one persistent-store ``config_hash`` equivalence class; a
-backend registered with ``exact=False`` (an *estimator*) is keyed
-separately and its results are never served for an exact-core request
-(see :func:`repro.store.base.config_fingerprint`).
+Every registered backend must produce **byte-identical** results to the
+``reference`` core — same cycle counts, same stats dictionaries, same
+serialized records — for every workload and configuration (this is what
+the golden-equivalence suite pins).  Registered backends therefore share
+one persistent-store ``config_hash`` equivalence class (see
+:func:`repro.store.base.config_fingerprint`).
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from typing import (
-    Any,
-    Callable,
-    Dict,
-    List,
-    Mapping,
-    Optional,
-    Tuple,
-    Type,
-)
+from typing import Any, Callable, List, Optional, Type
 
 from repro.utils.errors import ConfigurationError, RegistryError
 from repro.utils.registry import Registry
@@ -78,53 +65,18 @@ CORE_BACKENDS = Registry("core backend")
 
 
 @dataclass(frozen=True)
-class BackendOption:
-    """One construction-time option a core backend accepts.
-
-    Declared on :attr:`CoreBackend.options` so every consumer — the
-    ``GPUConfig.core_options`` validator, the ``--core name:key=value``
-    CLI parser, and the ``repro cores`` listing — shares a single source
-    of truth for what a backend can be configured with.
-
-    Attributes
-    ----------
-    name:
-        Option key, passed to the backend factory as a keyword argument.
-    type:
-        Python type of the value (used to coerce CLI strings and to
-        validate programmatic values).
-    default:
-        Default value when the option is not supplied.  ``None`` means
-        the backend computes a value itself (e.g. the estimator's
-        adaptive time quantum).
-    description:
-        One-line human description (shown by ``repro cores``).
-    """
-
-    name: str
-    type: Type[Any] = int
-    default: Optional[Any] = None
-    description: str = ""
-
-
-@dataclass(frozen=True)
 class CoreBackend:
     """Descriptor for one registered simulation-core implementation.
 
     Attributes
     ----------
     name:
-        Registry key (``"reference"``, ``"fast"``, ``"vector"``, ...).
+        Registry key (``"reference"`` or ``"fast"``).
     factory:
         Callable with the :class:`~repro.simt.core
         .StreamingMultiprocessor` constructor signature
         ``(sm_id, config, memory_system, global_memory, tracker)``
         building one SM running this backend.
-    exact:
-        Whether results are byte-identical to the ``reference`` core by
-        contract (golden-equivalence tested).  Non-exact backends are
-        *estimators*: cycle counts are approximate (with a tested error
-        bound), functional results and instruction counts stay exact.
     reference_memory:
         Whether the memory system should run its straight-line
         (non-event-skipping) loop under this backend.  Only the
@@ -132,19 +84,12 @@ class CoreBackend:
         free of *all* event-skipping machinery.
     description:
         One-line human description (shown by ``repro cores``).
-    options:
-        The :class:`BackendOption` descriptors this backend accepts via
-        ``GPUConfig.core_options`` / ``--core name:key=value``.  Unknown
-        keys are rejected eagerly at GPU construction (see
-        :func:`validate_core_options`).
     """
 
     name: str
     factory: Callable[..., Any] = field(repr=False)
-    exact: bool = True
     reference_memory: bool = False
     description: str = ""
-    options: Tuple[BackendOption, ...] = ()
 
 
 def register_core_backend(backend: CoreBackend) -> CoreBackend:
@@ -162,7 +107,6 @@ def _load_builtin_backends() -> None:
     the built-ins are pulled in lazily the first time a lookup misses.
     """
     import repro.simt.core  # noqa: F401  (registers reference, fast)
-    import repro.simt.vector  # noqa: F401  (registers vector, estimator)
 
 
 def get_core_backend(name: str) -> CoreBackend:
@@ -186,72 +130,6 @@ def available_core_backends() -> List[str]:
     """Sorted names of all registered core backends."""
     _load_builtin_backends()
     return CORE_BACKENDS.names()
-
-
-def validate_core_options(name: str,
-                          options: Mapping[str, Any]) -> Dict[str, Any]:
-    """Validate ``options`` against backend ``name``'s declared options.
-
-    Returns the validated (and type-coerced) option dict.  Unknown keys
-    are rejected eagerly with a :class:`ConfigurationError` naming the
-    backend and the bad key — a silently ignored option would make a
-    run's results lie about how they were produced.  Values are coerced
-    through each option's declared ``type`` so string values from the
-    CLI and config files behave like programmatic ones.
-    """
-    if not options:
-        return {}
-    backend = get_core_backend(name)
-    declared = {option.name: option for option in backend.options}
-    validated: Dict[str, Any] = {}
-    for key in sorted(options):
-        option = declared.get(key)
-        if option is None:
-            accepted = (", ".join(sorted(declared))
-                        if declared else "none")
-            raise ConfigurationError(
-                f"core backend {name!r} does not accept option {key!r} "
-                f"(accepted options: {accepted})"
-            )
-        value = options[key]
-        try:
-            validated[key] = option.type(value)
-        except (TypeError, ValueError) as exc:
-            raise ConfigurationError(
-                f"core backend {name!r} option {key!r} expects "
-                f"{option.type.__name__}, got {value!r}: {exc}"
-            ) from None
-    return validated
-
-
-def parse_core_spec(spec: str) -> Tuple[str, Dict[str, str]]:
-    """Split a ``name[:key=value,...]`` core spec into name and options.
-
-    This is the CLI grammar behind ``--core estimator:time_quantum=16``:
-    the backend name, optionally followed by ``:`` and a comma-separated
-    list of ``key=value`` options.  Values are returned as strings —
-    :func:`validate_core_options` coerces them through each option's
-    declared type, so the CLI and programmatic paths share one
-    validation/coercion step.  Malformed specs raise
-    :class:`ConfigurationError`.
-    """
-    name, sep, rest = spec.partition(":")
-    if not name:
-        raise ConfigurationError(
-            f"malformed core spec {spec!r}: expected "
-            f"'name' or 'name:key=value[,key=value...]'"
-        )
-    options: Dict[str, str] = {}
-    if sep:
-        for item in rest.split(","):
-            key, eq, value = item.partition("=")
-            if not eq or not key:
-                raise ConfigurationError(
-                    f"malformed core option {item!r} in {spec!r}: "
-                    f"expected key=value"
-                )
-            options[key] = value
-    return name, options
 
 
 #: Uniform deprecation text of the retired ``reference_core`` boolean.
@@ -306,16 +184,11 @@ def resolve_reference_core(
 def core_backend_is_exact(name: str) -> bool:
     """Whether backend ``name`` is in the byte-identical equivalence class.
 
-    Unknown names are conservatively treated as **not** exact, so a
-    result produced by an unregistered (e.g. third-party) backend is
-    keyed separately in the persistent store rather than served for
-    exact-core requests.
+    That class is exactly the registered backends.  Unknown names are
+    conservatively treated as **not** exact, so a result produced by an
+    unregistered backend is keyed separately in the persistent store
+    rather than served for requests on the registered cores.
     """
     if name not in CORE_BACKENDS:
-        try:
-            _load_builtin_backends()
-        except Exception:  # pragma: no cover - defensive import guard
-            return False
-    if name not in CORE_BACKENDS:
-        return False
-    return CORE_BACKENDS.get(name).exact
+        _load_builtin_backends()
+    return name in CORE_BACKENDS

@@ -16,15 +16,16 @@ Core backends
 :class:`StreamingMultiprocessor` is both the shared machinery (CTA
 placement, functional execution, the LD/ST unit, stats) and the trusted
 **reference** per-cycle engine: scan every warp, tick every component,
-every cycle.  Alternative engines subclass it and override the per-cycle
-hooks (:meth:`cycle`, :meth:`_issue_stage`, :meth:`_wake_warp`, ...);
-they are registered by name through :mod:`repro.simt.backend` so
-``GPUConfig.core_backend`` / ``Session(core=...)`` / ``repro --core``
-can select them.  This module registers ``reference``
-(:class:`ReferenceCore`) and ``fast`` (:class:`FastCore`, the PR 3
-event-skipping path); :mod:`repro.simt.vector` adds ``vector`` and
-``estimator``.  See :mod:`repro.simt.backend` for the interface contract
-and the parked-warp invariant every event-driven backend must uphold.
+every cycle.  The event-driven engine subclasses it and overrides the
+per-cycle hooks (:meth:`cycle`, :meth:`_issue_stage`, :meth:`_wake_warp`,
+...); engines are registered by name through :mod:`repro.simt.backend`
+so ``GPUConfig.core_backend`` / ``Session(core=...)`` / ``repro --core``
+can select them.  This module registers the two built-ins: the
+``reference`` oracle (:class:`ReferenceCore`) and the default ``fast``
+core (:class:`FastCore`: candidate-set tracking, a scalar/array
+readiness split, the batched LD/ST unit, and the quiescence skip).  See
+:mod:`repro.simt.backend` for the interface contract and the parked-warp
+invariant an event-driven backend must uphold.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Set
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -46,8 +47,13 @@ from repro.memory.globalmem import GlobalMemory, WORD_SIZE
 from repro.memory.subsystem import MemorySystem
 from repro.simt.backend import CoreBackend, register_core_backend
 from repro.simt.coreconfig import CoreConfig
-from repro.simt.ldst import LoadStoreUnit, LoadToken
-from repro.simt.scheduler import WarpScheduler, create_warp_scheduler
+from repro.simt.ldst import BatchedLoadStoreUnit, LoadStoreUnit, LoadToken
+from repro.simt.scheduler import (
+    GreedyThenOldestScheduler,
+    LooseRoundRobinScheduler,
+    WarpScheduler,
+    create_warp_scheduler,
+)
 from repro.simt.warp import Warp
 from repro.utils.errors import SimulationError
 from repro.utils.stats import StatCounters
@@ -55,6 +61,15 @@ from repro.utils.stats import StatCounters
 #: Sentinel wake time for "no future SM-local event" (sleep until a
 #: memory response arrives or a CTA is launched).
 _NEVER = float("inf")
+
+#: Candidate sets at or below this size are evaluated by the scalar path;
+#: NumPy's per-call overhead dominates for tiny batches.  Both paths
+#: implement the same checks, so the threshold affects speed only.
+_SCALAR_EVAL_THRESHOLD = 16
+
+#: Register/predicate indices must fit a 64-bit scoreboard bitmask for a
+#: program to take the array path.
+_MASK_BITS = 64
 
 
 @dataclass
@@ -140,8 +155,7 @@ class StreamingMultiprocessor:
     * :meth:`_wake_warp` — a warp's sticky blocking condition may have
       cleared (scoreboard release, barrier release, CTA launch);
     * :meth:`_on_barrier_wait` — a warp just issued ``BAR`` and parked;
-    * :meth:`_on_warp_done` — a warp just retired;
-    * :meth:`_forget_warp` — a retired warp's CTA is leaving the SM.
+    * :meth:`_on_warp_done` — a warp just retired.
 
     All hooks are no-ops here, so the base engine stays straight-line.
     Every overriding backend must uphold the **parked-warp invariant**
@@ -153,16 +167,13 @@ class StreamingMultiprocessor:
 
     #: Registered backend name of this engine (class-level metadata).
     backend_name = "reference"
-    #: Whether this engine is byte-identical to the reference core.
-    exact = True
     #: Whether the GPU may hoist this engine's quiescence gate to device
     #: level (see :meth:`repro.gpu.gpu.GPU._drive_skip`).  Requires the
-    #: ``_sm_wake``/``_reply_entries`` gate contract of :class:`FastCore`
-    #: (which the vector core inherits); the straight-line reference
-    #: engine runs its body every cycle.
+    #: ``_sm_wake``/``_reply_entries`` gate contract of :class:`FastCore`;
+    #: the straight-line reference engine runs its body every cycle.
     supports_device_skip = False
     #: LD/ST unit implementation this engine builds.  Backends may swap
-    #: in a behaviour-identical subclass (the vector core uses the
+    #: in a behaviour-identical subclass (the fast core uses the
     #: batched variant) without touching the construction sequence.
     ldst_class = LoadStoreUnit
 
@@ -302,7 +313,6 @@ class StreamingMultiprocessor:
             self._num_warps -= len(context.warps)
             for warp in context.warps:
                 self._warp_cta.pop(warp.warp_id, None)
-                self._forget_warp(warp)
             self.retired_ctas.append(cta_id)
             self.stats.add("ctas_retired")
             if self.on_cta_retired is not None:
@@ -323,9 +333,6 @@ class StreamingMultiprocessor:
 
     def _on_warp_done(self, warp: Warp) -> None:
         """Hook: ``warp`` just retired (``EXIT`` of its last lanes)."""
-
-    def _forget_warp(self, warp: Warp) -> None:
-        """Hook: retired ``warp``'s CTA is being removed from the SM."""
 
     # ------------------------------------------------------------------
     # Per-cycle processing (reference engine; subclasses override)
@@ -644,23 +651,32 @@ class ReferenceCore(StreamingMultiprocessor):
 
 
 class FastCore(StreamingMultiprocessor):
-    """Event-skipping engine (PR 3), registered as ``fast``.
+    """Event-driven engine, registered as ``fast`` (the default).
 
-    Keeps one *ready set* per scheduler — warps that might be able to
-    issue — updated only on state transitions (issue, ALU/load
-    completion, barrier release, LD/ST slot free, CTA launch), so a
-    cycle touches candidate warps only instead of scanning every
+    Keeps one *candidate set* per scheduler — slots of warps that might
+    be able to issue — updated only on state transitions (issue,
+    ALU/load completion, barrier release, LD/ST slot free, CTA launch),
+    so a cycle touches candidate warps only instead of scanning every
     resident warp.  Results are byte-identical to the reference engine
     (pinned by the golden-equivalence suite).
 
-    A warp leaves the ready set when it is observed blocked on a sticky
-    condition and is re-inserted exactly when that condition can clear:
-    scoreboard hazards clear only on a release for that warp, barrier
-    waits only on the CTA's barrier release, and LD/ST back-pressure only
-    when the LD/ST unit has a free slot again.  Re-insertions are
-    conservative (a woken warp may re-park), which keeps the invariant
-    simple: *any warp outside the ready set and the LD/ST-blocked set is
-    not issuable*.
+    A warp leaves the candidate set when it is observed blocked on a
+    sticky condition and is re-inserted exactly when that condition can
+    clear: scoreboard hazards clear only on a release for that warp,
+    barrier waits only on the CTA's barrier release, and LD/ST
+    back-pressure only when the LD/ST unit has a free slot again.
+    Re-insertions are conservative (a woken warp may re-park), which
+    keeps the invariant simple: *any warp outside the candidate set and
+    the LD/ST-blocked set is not issuable*.
+
+    Readiness is evaluated two ways with the same checks.  Small
+    candidate sets (at most :data:`_SCALAR_EVAL_THRESHOLD` warps) are
+    walked warp by warp.  Larger ones are evaluated over per-scheduler
+    NumPy arrays — PC, scoreboard busy bits, barrier membership, warp id
+    and launch order — against per-PC hazard tables, and the LRR/GTO
+    policies are replayed with argmin and lexsort.  Programs whose
+    register or predicate indices do not fit a 64-bit bitmask always
+    take the scalar walk.
 
     On top of the sets the core caches an *SM wake time*: when every
     warp is parked on a sticky condition the whole per-cycle body is
@@ -681,17 +697,62 @@ class FastCore(StreamingMultiprocessor):
     #: batch-replay the idle increments for whole skip windows.
     supports_device_skip = True
 
+    #: The batch-tuned LD/ST unit (behaviour-identical to the base unit;
+    #: see :class:`~repro.simt.ldst.BatchedLoadStoreUnit`).
+    ldst_class = BatchedLoadStoreUnit
+
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
-        # Per-scheduler ready/blocked sets (dicts keyed by warp_id for
-        # ordered, de-duplicated membership) and the CTAs with a warp
-        # waiting at a barrier, tracked at BAR issue.
-        self._ready: List[Dict[int, Warp]] = [
-            {} for _ in range(self._num_schedulers)
+        num_schedulers = self._num_schedulers
+        cap = self.config.max_warps  # worst case: all warps on one scheduler
+        self._cap = cap
+        self._v_pc = np.zeros((num_schedulers, cap), dtype=np.int64)
+        self._v_busy_reg = np.zeros((num_schedulers, cap), dtype=np.uint64)
+        self._v_busy_pred = np.zeros((num_schedulers, cap), dtype=np.uint64)
+        self._v_wid = np.zeros((num_schedulers, cap), dtype=np.int64)
+        self._v_order = np.zeros((num_schedulers, cap), dtype=np.int64)
+        self._v_wait = np.zeros((num_schedulers, cap), dtype=bool)
+        self._v_warps: List[List[Optional[Warp]]] = [
+            [None] * cap for _ in range(num_schedulers)
         ]
-        self._ldst_blocked: List[Dict[int, Warp]] = [
-            {} for _ in range(self._num_schedulers)
+        self._v_free: List[List[int]] = [
+            list(range(cap - 1, -1, -1)) for _ in range(num_schedulers)
         ]
+        self._v_slot: Dict[int, Tuple[int, int]] = {}
+        # Candidate/blocked membership as slot-index sets: cheap to test
+        # and mutate at 8-warp occupancy, trivially convertible to an
+        # index vector for the batch evaluation.  Kept disjoint (a woken
+        # warp leaves the blocked set; re-parking re-adds it), which the
+        # blocked-release merge relies on.
+        self._cand_slots: List[Set[int]] = [
+            set() for _ in range(num_schedulers)
+        ]
+        self._blocked_slots: List[Set[int]] = [
+            set() for _ in range(num_schedulers)
+        ]
+        # Slots whose array row is stale.  Warp state only changes at the
+        # wake/issue/done hooks, which mark the slot dirty; the batch
+        # evaluation refreshes dirty candidate rows just before reading
+        # them.  Workloads that never reach the batch path (small
+        # candidate sets) therefore never touch the arrays at all.
+        self._dirty: List[Set[int]] = [set() for _ in range(num_schedulers)]
+        self._vector_mode = False
+        self._vec_program: Optional[Program] = None
+        self._vec_len = 0
+        self._tbl_reg: Optional[np.ndarray] = None
+        self._tbl_pred: Optional[np.ndarray] = None
+        self._tbl_mem: Optional[np.ndarray] = None
+        # The pick replays each scheduler's policy instead of calling it.
+        self._sched_lrr: List[bool] = []
+        for scheduler in self.schedulers:
+            if not isinstance(scheduler, (LooseRoundRobinScheduler,
+                                          GreedyThenOldestScheduler)):
+                raise SimulationError(
+                    f"fast core cannot replay warp scheduler "
+                    f"{scheduler.name!r}")
+            self._sched_lrr.append(
+                isinstance(scheduler, LooseRoundRobinScheduler))
+        # CTAs with a warp waiting at a barrier, tracked at BAR issue.
         self._barrier_ctas: Set[int] = set()
         self._sm_wake: float = 0.0
         self._sm_next: float = 0.0
@@ -702,34 +763,130 @@ class FastCore(StreamingMultiprocessor):
         self._inc_stat = self.stats.inc
         self._miss_entries = self.ldst.miss_queue.raw()
 
+    # ------------------------------------------------------------------
+    # Program admission
+    # ------------------------------------------------------------------
     def launch_cta(self, cta_id: int, launch: KernelLaunch, now: int) -> None:
+        if launch.program is not self._vec_program:
+            self._setup_program(launch.program)
         super().launch_cta(cta_id, launch, now)
         # New warps can issue next cycle; drop any cached quiescence.
         self._sm_wake = 0.0
 
+    def _setup_program(self, program: Program) -> None:
+        if self.ctas:
+            raise SimulationError(
+                "fast core cannot switch programs with CTAs resident"
+            )
+        self._v_slot.clear()
+        for index in range(self._num_schedulers):
+            self._cand_slots[index].clear()
+            self._blocked_slots[index].clear()
+            self._dirty[index].clear()
+            self._v_warps[index] = [None] * self._cap
+            self._v_free[index] = list(range(self._cap - 1, -1, -1))
+        self._v_wait[:] = False
+        self._vec_program = program
+        self._vector_mode = self._vectorizable(program)
+        if not self._vector_mode:
+            self._tbl_reg = self._tbl_pred = self._tbl_mem = None
+            return
+        length = len(program.instructions)
+        self._vec_len = length
+        # Per-PC hazard masks: union of source and destination indices,
+        # exactly the set Scoreboard.has_hazard tests membership for.
+        # Row `length` is an all-clear pad so run-off-the-end PCs index
+        # safely (they finish before the masks are consulted).
+        tbl_reg = np.zeros(length + 1, dtype=np.uint64)
+        tbl_pred = np.zeros(length + 1, dtype=np.uint64)
+        tbl_mem = np.zeros(length + 1, dtype=bool)
+        for pc, instruction in enumerate(program.instructions):
+            reg_mask = 0
+            for index in instruction.src_reg_indices:
+                reg_mask |= 1 << index
+            if instruction.dst_reg_index is not None:
+                reg_mask |= 1 << instruction.dst_reg_index
+            pred_mask = 0
+            for index in instruction.src_pred_indices:
+                pred_mask |= 1 << index
+            if instruction.dst_pred_index is not None:
+                pred_mask |= 1 << instruction.dst_pred_index
+            tbl_reg[pc] = reg_mask
+            tbl_pred[pc] = pred_mask
+            tbl_mem[pc] = instruction.is_memory
+        self._tbl_reg = tbl_reg
+        self._tbl_pred = tbl_pred
+        self._tbl_mem = tbl_mem
+
+    @staticmethod
+    def _vectorizable(program: Program) -> bool:
+        """Whether every register/predicate index fits the bitmask width."""
+        for instruction in program.instructions:
+            for index in instruction.src_reg_indices:
+                if index >= _MASK_BITS:
+                    return False
+            if (instruction.dst_reg_index is not None
+                    and instruction.dst_reg_index >= _MASK_BITS):
+                return False
+            for index in instruction.src_pred_indices:
+                if index >= _MASK_BITS:
+                    return False
+            if (instruction.dst_pred_index is not None
+                    and instruction.dst_pred_index >= _MASK_BITS):
+                return False
+        return True
+
     # ------------------------------------------------------------------
-    # Hook implementations
+    # Slot management and hook implementations
     # ------------------------------------------------------------------
+    def _alloc_slot(self, warp: Warp) -> Tuple[int, int]:
+        index = warp.warp_id % self._num_schedulers
+        free = self._v_free[index]
+        if not free:  # pragma: no cover - cap is the SM-wide warp limit
+            raise SimulationError(
+                f"SM {self.sm_id} scheduler {index} out of warp slots"
+            )
+        slot = free.pop()
+        self._v_warps[index][slot] = warp
+        self._v_slot[warp.warp_id] = (index, slot)
+        self._v_wid[index, slot] = warp.warp_id
+        self._v_order[index, slot] = warp.launch_order
+        return index, slot
+
     def _wake_warp(self, warp: Warp) -> None:
-        """(Re-)insert a warp into its scheduler's ready set."""
-        if not warp.done:
-            self._ready[warp.warp_id % self._num_schedulers][warp.warp_id] = warp
+        """(Re-)insert a warp into its scheduler's candidate set."""
+        if warp.done:
+            return
+        entry = self._v_slot.get(warp.warp_id)
+        if entry is None:
+            entry = self._alloc_slot(warp)
+        index, slot = entry
+        self._blocked_slots[index].discard(slot)
+        self._cand_slots[index].add(slot)
+        self._dirty[index].add(slot)
 
     def _on_barrier_wait(self, warp: Warp) -> None:
         self._barrier_ctas.add(warp.cta_id)
 
     def _on_warp_done(self, warp: Warp) -> None:
-        self._ldst_blocked[warp.warp_id % self._num_schedulers].pop(
-            warp.warp_id, None)
+        # Free the slot at retirement, so finished warps (and their
+        # register files) are not pinned by the scheduler sets.
+        entry = self._v_slot.pop(warp.warp_id, None)
+        if entry is not None:
+            index, slot = entry
+            self._cand_slots[index].discard(slot)
+            self._blocked_slots[index].discard(slot)
+            self._dirty[index].discard(slot)
+            self._v_warps[index][slot] = None
+            self._v_free[index].append(slot)
 
-    def _forget_warp(self, warp: Warp) -> None:
-        # Drop retired warps (and their register files) from the
-        # scheduler sets so finished kernels do not pin dead warps in
-        # memory; done warps are filtered from candidates anyway, so
-        # this is result-neutral.
-        scheduler_index = warp.warp_id % self._num_schedulers
-        self._ready[scheduler_index].pop(warp.warp_id, None)
-        self._ldst_blocked[scheduler_index].pop(warp.warp_id, None)
+    def _issue(self, warp: Warp, now: int) -> None:
+        super()._issue(warp, now)
+        if warp.done:
+            return
+        # The issue changed PC/scoreboard/barrier state; refresh lazily.
+        index, slot = self._v_slot[warp.warp_id]
+        self._dirty[index].add(slot)
 
     # ------------------------------------------------------------------
     # Per-cycle processing
@@ -772,7 +929,8 @@ class FastCore(StreamingMultiprocessor):
         if issued:
             self.tracker.note_issue_cycle(self.sm_id, now)
             self.stats.inc(self._slot_active)
-        if self._barrier_ctas or self._has_candidates():
+        if (self._barrier_ctas or any(self._cand_slots)
+                or any(self._blocked_slots)):
             # Warp state can change next cycle; the enumeration is only
             # needed if the GPU stops without an issue, so defer it.
             self._sm_wake = now + 1
@@ -784,12 +942,8 @@ class FastCore(StreamingMultiprocessor):
             self._sm_wake = self._sm_next
         return issued
 
-    def _has_candidates(self) -> bool:
-        """Whether any scheduler holds a ready or LD/ST-blocked warp."""
-        return any(self._ready) or any(self._ldst_blocked)
-
     def next_event_time(self, now: int) -> Optional[int]:
-        """Cached base enumeration — identical to the other cores' value.
+        """Cached base enumeration — identical to the reference core's value.
 
         The enumeration only covers ALU and LD/ST event times (never the
         warp-readiness state the wake cache tracks on top), and those
@@ -845,12 +999,16 @@ class FastCore(StreamingMultiprocessor):
         self._dirty_ctas.clear()
         self._retire_ctas(finished)
 
+    # ------------------------------------------------------------------
+    # Issue stage
+    # ------------------------------------------------------------------
     def _issue_stage(self, now: int) -> bool:
-        if not any(self._ready) and (
-            not any(self._ldst_blocked) or not self.ldst.can_accept()
+        if not any(self._cand_slots) and (
+            not any(self._blocked_slots) or not self.ldst.can_accept()
         ):
-            # No scheduler has a candidate; account the per-scheduler
-            # idle cycles in one shot (same counter totals as the loop).
+            # No scheduler has a candidate (and nothing can unblock);
+            # account the per-scheduler idle cycles in one shot — same
+            # counter totals as the loop below.
             self.stats.inc(self._slot_idle, self._num_schedulers)
             return False
         issued_any = False
@@ -858,16 +1016,12 @@ class FastCore(StreamingMultiprocessor):
         ldst = self.ldst
         for scheduler in self.schedulers:
             index = scheduler.scheduler_id
-            blocked = self._ldst_blocked[index]
+            cand = self._cand_slots[index]
+            blocked = self._blocked_slots[index]
             if blocked and ldst.can_accept():
-                self._ready[index].update(blocked)
+                cand |= blocked
                 blocked.clear()
-            candidates = (
-                self._collect_candidates(index) if self._ready[index] else []
-            )
-            # scheduler.select is pure for empty candidate lists, so it
-            # is only consulted when there is something to pick from.
-            warp = scheduler.select(candidates, now) if candidates else None
+            warp = self._select_warp(scheduler, index) if cand else None
             if warp is None:
                 stats.inc(self._slot_idle)
                 continue
@@ -879,52 +1033,156 @@ class FastCore(StreamingMultiprocessor):
             stats.inc(self._slot_issued)
         return issued_any
 
-    def _collect_candidates(self, index: int) -> List[Warp]:
-        """Evaluate the scheduler's ready set, parking blocked warps.
+    def _select_warp(self, scheduler: WarpScheduler,
+                     index: int) -> Optional[Warp]:
+        if (not self._vector_mode
+                or len(self._cand_slots[index]) <= _SCALAR_EVAL_THRESHOLD):
+            return self._select_scalar(scheduler, index)
+        return self._select_vector(scheduler, index)
+
+    def _select_scalar(self, scheduler: WarpScheduler,
+                       index: int) -> Optional[Warp]:
+        """Scalar readiness evaluation and pick.
 
         Mirrors :meth:`StreamingMultiprocessor._warp_ready` (same checks,
         same order, same ``finish()`` side effect) but records *why* a
-        warp is not ready so it can leave the ready set until the
+        warp is not ready so it can leave the candidate set until the
         blocking condition can change.
         """
-        ready = self._ready[index]
-        blocked = self._ldst_blocked[index]
+        warps = self._v_warps[index]
+        cand = self._cand_slots[index]
+        blocked = self._blocked_slots[index]
         ldst = self.ldst
-        candidates: List[Warp] = []
-        parked: List[int] = []
-        for warp_id, warp in ready.items():
+        ready: List[Warp] = []
+        for slot in list(cand):
+            warp = warps[slot]
             if warp.done or warp.at_barrier:
-                parked.append(warp_id)
+                cand.discard(slot)
                 continue
             instruction = warp.next_instruction()
             if instruction is None:
                 warp.finish()
-                self._note_warp_done(warp)
-                parked.append(warp_id)
+                self._note_warp_done(warp)  # frees the slot
                 continue
             if warp.scoreboard.has_hazard(instruction):
                 # Re-inserted by _wake_warp on a scoreboard release.
-                parked.append(warp_id)
+                cand.discard(slot)
                 continue
             if instruction.is_memory and not ldst.can_accept():
                 # Re-inserted when the LD/ST unit has a free slot.
-                blocked[warp_id] = warp
-                parked.append(warp_id)
+                cand.discard(slot)
+                blocked.add(slot)
                 continue
-            candidates.append(warp)
-        for warp_id in parked:
-            del ready[warp_id]
-        if len(candidates) > 1:
-            # Reference candidate order is ascending warp_id (resident
-            # warps are stored in launch order).
-            candidates.sort(key=lambda warp: warp.warp_id)
-        return candidates
+            ready.append(warp)
+        if not ready:
+            return None
+        if len(ready) == 1:
+            return ready[0]
+        if self._sched_lrr[index]:
+            last = scheduler.last_issued_warp_id
+            if last is not None:
+                after = [warp for warp in ready if warp.warp_id > last]
+                if after:
+                    return min(after, key=lambda warp: warp.warp_id)
+            return min(ready, key=lambda warp: warp.warp_id)
+        greedy = scheduler.greedy_warp_id
+        if greedy is not None:
+            for warp in ready:
+                if warp.warp_id == greedy:
+                    return warp
+        return min(ready, key=lambda warp: (warp.launch_order, warp.warp_id))
+
+    def _select_vector(self, scheduler: WarpScheduler,
+                       index: int) -> Optional[Warp]:
+        """Array readiness evaluation; equivalent to :meth:`_select_scalar`.
+
+        Park/finish side effects are order-insensitive, and the LD/ST
+        acceptance check cannot change mid-evaluation (nothing issues
+        during it), so evaluating all slots from a snapshot is exact.
+        """
+        cand = self._cand_slots[index]
+        dirty = self._dirty[index]
+        if dirty:
+            refresh = dirty & cand
+            if refresh:
+                warps_row = self._v_warps[index]
+                pc_row = self._v_pc[index]
+                wait_row = self._v_wait[index]
+                reg_row = self._v_busy_reg[index]
+                pred_row = self._v_busy_pred[index]
+                for slot in refresh:
+                    warp = warps_row[slot]
+                    pc_row[slot] = warp.pc
+                    wait_row[slot] = warp.at_barrier
+                    scoreboard = warp.scoreboard
+                    reg_row[slot] = scoreboard.reg_mask()
+                    pred_row[slot] = scoreboard.pred_mask()
+                dirty -= refresh
+        slots = np.fromiter(cand, dtype=np.int64, count=len(cand))
+        wait = self._v_wait[index, slots]
+        pcs = self._v_pc[index, slots]
+        length = self._vec_len
+        finished = (pcs >= length) & ~wait
+        pcs_c = np.minimum(pcs, length)
+        hazard = (
+            ((self._tbl_reg[pcs_c] & self._v_busy_reg[index, slots]) != 0)
+            | ((self._tbl_pred[pcs_c] & self._v_busy_pred[index, slots]) != 0)
+        )
+        live = ~wait & ~finished & ~hazard
+        is_mem = self._tbl_mem[pcs_c]
+        if is_mem.any() and not self.ldst.can_accept():
+            ready = live & ~is_mem
+            mem_blocked = live & is_mem
+            if mem_blocked.any():
+                self._blocked_slots[index].update(
+                    int(slot) for slot in slots[mem_blocked]
+                )
+        else:
+            ready = live
+        if finished.any():
+            for item in slots[finished]:
+                warp = self._v_warps[index][int(item)]
+                warp.finish()
+                self._note_warp_done(warp)  # frees the slot
+        ready_slots = slots[ready]
+        # Rebuild the candidate set: ready warps stay, everything else
+        # parks (finished slots were already freed by the done hook).
+        self._cand_slots[index] = set(map(int, ready_slots))
+        if ready_slots.size == 0:
+            return None
+        wids = self._v_wid[index, ready_slots]
+        if self._sched_lrr[index]:
+            slot = self._pick_lrr(scheduler, ready_slots, wids)
+        else:
+            slot = self._pick_gto(scheduler, index, ready_slots, wids)
+        return self._v_warps[index][slot]
+
+    @staticmethod
+    def _pick_lrr(scheduler: LooseRoundRobinScheduler, slots: np.ndarray,
+                  wids: np.ndarray) -> int:
+        """LRR policy over arrays: first warp id after the last issuer."""
+        last = scheduler.last_issued_warp_id
+        if last is not None:
+            after = np.nonzero(wids > last)[0]
+            if after.size:
+                return int(slots[after[np.argmin(wids[after])]])
+        return int(slots[np.argmin(wids)])
+
+    def _pick_gto(self, scheduler: GreedyThenOldestScheduler, index: int,
+                  slots: np.ndarray, wids: np.ndarray) -> int:
+        """GTO policy over arrays: greedy warp, else oldest launch."""
+        greedy = scheduler.greedy_warp_id
+        if greedy is not None:
+            match = np.nonzero(wids == greedy)[0]
+            if match.size:
+                return int(slots[match[0]])
+        orders = self._v_order[index, slots]
+        return int(slots[np.lexsort((wids, orders))[0]])
 
 
 register_core_backend(CoreBackend(
     name="reference",
     factory=ReferenceCore,
-    exact=True,
     reference_memory=True,
     description=("trusted straight-line loop: scan every warp, tick every "
                  "component, every cycle (golden baseline)"),
@@ -933,7 +1191,7 @@ register_core_backend(CoreBackend(
 register_core_backend(CoreBackend(
     name="fast",
     factory=FastCore,
-    exact=True,
-    description=("event-skipping ready-set core (default); byte-identical "
+    description=("event-driven core (default): candidate sets, batched "
+                 "readiness and LD/ST, quiescence skip; byte-identical "
                  "to reference"),
 ))

@@ -11,6 +11,11 @@ Timestamps recorded here correspond to the first two components of the
 paper's Figure 1 breakdown: the time between instruction issue and the L1
 tag access is part of "SM Base", and the time a missed request spends
 waiting in the miss queue for interconnect credits is "L1toICNT".
+
+Two behaviour-identical implementations live here:
+:class:`LoadStoreUnit`, the straight-line unit of the ``reference``
+oracle, and :class:`BatchedLoadStoreUnit`, its throughput-tuned subclass
+that the default ``fast`` core builds.
 """
 
 from __future__ import annotations
@@ -134,18 +139,6 @@ class LoadStoreUnit:
         self._sequence = itertools.count()
         self.on_load_complete: Optional[Callable[[LoadToken, int], None]] = None
         self.stats = StatCounters(prefix=f"sm{sm_id}.ldst")
-        # Completion-time granularity (cycles).  1 = exact.  The
-        # estimator backend raises it: every LD/ST completion time is
-        # rounded up to the next quantum boundary, coarsening the event
-        # timeline (approximate, never-early cycle counts).
-        self.time_quantum = 1
-
-    def _stamp(self, time: int) -> int:
-        """``time`` rounded up to the LD/ST time quantum (identity when 1)."""
-        quantum = self.time_quantum
-        if quantum <= 1:
-            return time
-        return -(-time // quantum) * quantum
 
     # ------------------------------------------------------------------
     # Issue-side interface (called by the SM)
@@ -182,8 +175,7 @@ class LoadStoreUnit:
                 token.expected = 1
                 heapq.heappush(
                     self._writebacks,
-                    (self._stamp(now + 1), next(self._sequence), None, token,
-                     True),
+                    (now + 1, next(self._sequence), None, token, True),
                 )
         if instruction.space is MemSpace.SHARED or lines or instruction.is_store:
             self.instruction_queue.append(
@@ -256,7 +248,7 @@ class LoadStoreUnit:
         shared fill returns.  Requests that merged at the L2 return as their
         own responses and are therefore *not* completed from this path.
         """
-        writeback_time = self._stamp(now + self.config.writeback_latency)
+        writeback_time = now + self.config.writeback_latency
         waiters: List[MemoryRequest] = [response]
         caches = self._l1_caches_space(response.space)
         if caches and self.l1 is not None:
@@ -307,8 +299,8 @@ class LoadStoreUnit:
             request.l1_hit = True
             heapq.heappush(
                 self._writebacks,
-                (self._stamp(now + self.config.l1.hit_latency
-                             + self.config.writeback_latency),
+                (now + self.config.l1.hit_latency
+                 + self.config.writeback_latency,
                  next(self._sequence), request, request.load_token, True),
             )
             return
@@ -379,7 +371,7 @@ class LoadStoreUnit:
         )
         self.tracker.record_event(request, Event.ISSUE, now)
         self.l1_access_queue.append(
-            (self._stamp(now + self.config.sm_base_latency), request)
+            (now + self.config.sm_base_latency, request)
         )
         if pending.exhausted:
             self.instruction_queue.popleft()
@@ -398,7 +390,7 @@ class LoadStoreUnit:
         self.stats.add("shared_accesses")
         self.stats.add("shared_bank_conflict_cycles", extra)
         if pending.token is not None:
-            complete = self._stamp(now + self.config.shared_latency + extra)
+            complete = now + self.config.shared_latency + extra
             heapq.heappush(
                 self._writebacks,
                 (complete, next(self._sequence), None, pending.token, True),
@@ -443,7 +435,7 @@ class LoadStoreUnit:
 
 
 class BatchedLoadStoreUnit(LoadStoreUnit):
-    """Batch-tuned LD/ST unit used by the vector core backends.
+    """Batch-tuned LD/ST unit used by the ``fast`` core.
 
     Behaviour-identical to :class:`LoadStoreUnit` — same queues, same
     stall conditions, same counter names and values, same tracker events
@@ -467,7 +459,8 @@ class BatchedLoadStoreUnit(LoadStoreUnit):
 
     Byte-identity with the base unit across the golden workloads is
     pinned by ``tests/test_simt_ldst.py`` and the golden-equivalence
-    suite (the vector core runs this unit everywhere).
+    suite (the fast core runs this unit everywhere; the ``reference``
+    oracle keeps the base unit).
     """
 
     def __init__(
@@ -539,12 +532,11 @@ class BatchedLoadStoreUnit(LoadStoreUnit):
                 token.expected = 1
                 heapq.heappush(
                     self._writebacks,
-                    (self._stamp(now + 1), next(self._sequence), None, token,
-                     True),
+                    (now + 1, next(self._sequence), None, token, True),
                 )
         if (instruction.space is MemSpace.SHARED or lines
                 or instruction.is_store):
-            # No address/mask copies: the vector core hands the unit
+            # No address/mask copies: the fast core hands the unit
             # freshly built arrays every issue (see class docstring).
             self.instruction_queue.append(
                 PendingMemoryInstruction(warp, instruction, addresses,
@@ -612,12 +604,9 @@ class BatchedLoadStoreUnit(LoadStoreUnit):
             ways.append(line)
             l1.stats.inc(self._s_l1_hits)
             request.l1_hit = True
-            complete = now + self._hit_delay
-            if self.time_quantum > 1:
-                complete = self._stamp(complete)
             heapq.heappush(
                 self._writebacks,
-                (complete, next(self._sequence), request,
+                (now + self._hit_delay, next(self._sequence), request,
                  request.load_token, True),
             )
             return
@@ -681,10 +670,7 @@ class BatchedLoadStoreUnit(LoadStoreUnit):
         )
         if self.tracker.enabled:
             request.timestamps[Event.ISSUE] = now
-        ready = now + self._sm_base
-        if self.time_quantum > 1:
-            ready = self._stamp(ready)
-        self.l1_access_queue.append((ready, request))
+        self.l1_access_queue.append((now + self._sm_base, request))
         if not remaining:
             self.instruction_queue.popleft()
 

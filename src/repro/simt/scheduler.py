@@ -49,7 +49,7 @@ class LooseRoundRobinScheduler(WarpScheduler):
 
     @property
     def last_issued_warp_id(self) -> Optional[int]:
-        """Warp id of the last issuer (the vector core replays the policy)."""
+        """Warp id of the last issuer (the fast core replays the policy)."""
         return self._last_warp_id
 
     def select(self, ready_warps: Sequence[Warp], now: int) -> Optional[Warp]:
@@ -78,7 +78,7 @@ class GreedyThenOldestScheduler(WarpScheduler):
 
     @property
     def greedy_warp_id(self) -> Optional[int]:
-        """Warp id the policy is greedy on (the vector core replays it)."""
+        """Warp id the policy is greedy on (the fast core replays it)."""
         return self._greedy_warp_id
 
     def select(self, ready_warps: Sequence[Warp], now: int) -> Optional[Warp]:

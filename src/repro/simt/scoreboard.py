@@ -74,7 +74,7 @@ class Scoreboard:
         """Busy general registers as a bitmask (vectorized hazard checks).
 
         Only meaningful when every busy index fits the mask width the
-        caller uses (the vector core checks this per program).
+        caller uses (the fast core checks this per program).
         """
         mask = 0
         for index in self._busy_regs:

@@ -15,11 +15,10 @@ change:
     :class:`~repro.gpu.config.GPUConfig` objects — what the config names
     meant when the result was produced.  Session-local configs can bind
     the same name to different hardware, so the names alone (already in
-    the spec) are not identity.  Exact core backends (``reference``,
-    ``fast``, ``vector`` — byte-identical by contract, pinned by the
-    golden equivalence tests) are normalized to one name so any of them
-    may serve the others' stored results; approximate backends
-    (``estimator``) keep their name and are keyed separately.
+    the spec) are not identity.  Registered core backends (``fast`` and
+    ``reference`` — byte-identical by contract, pinned by the golden
+    equivalence tests) are normalized to one name so either may serve
+    the other's stored results.
 ``code_version``
     :func:`~repro.store.version.code_version` — the simulator source
     fingerprint; any change to simulator-relevant code invalidates every
@@ -84,22 +83,13 @@ def config_fingerprint(configs: Iterable[Any]) -> str:
     The configurations are frozen dataclasses of frozen dataclasses, so
     their ``repr`` is a deterministic, complete rendering of every
     parameter.  The ``core_backend`` name is canonicalized to ``"fast"``
-    for backends registered as *exact* (``reference``, ``fast``,
-    ``vector``): those produce byte-identical results by contract —
-    pinned by the golden equivalence tests — so a store populated by one
-    must serve the others.  Backends that are **not** proven
-    byte-identical (``estimator``, or any name this process does not
-    know) keep their name, so their results are keyed separately and are
-    never served for an exact-core request.  The legacy
-    ``reference_core`` boolean is normalized to ``False`` for the same
-    reason (it only ever selected between two exact cores).
-
-    ``core_options`` take part in the hash verbatim: options tune a
-    backend's behavior (e.g. the estimator's ``time_quantum``), so two
-    option sets are two result spaces.  Backend-name canonicalization
-    therefore applies only when ``core_options`` is empty — an exact
-    backend carrying options (none exist today; registration would
-    reject the options) is conservatively keyed under its own name.
+    for every registered backend: registered backends produce
+    byte-identical results by contract — pinned by the golden
+    equivalence tests — so a store populated by one must serve the
+    others.  A name this process does not know keeps its name, so its
+    results are keyed separately.  The legacy ``reference_core`` boolean
+    is normalized to ``False`` for the same reason (it only ever
+    selected between two exact cores).
     """
     from repro.simt.backend import core_backend_is_exact
 
@@ -109,7 +99,6 @@ def config_fingerprint(configs: Iterable[Any]) -> str:
             config = config.replace(reference_core=False)
         backend = getattr(config, "core_backend", None)
         if (backend is not None and backend != "fast"
-                and not getattr(config, "core_options", None)
                 and core_backend_is_exact(backend)):
             config = config.replace(core_backend="fast")
         digest.update(repr(config).encode("utf-8"))

@@ -1,11 +1,11 @@
 """Tests for the simulation-core backend registry and its shims.
 
 Covers the :mod:`repro.simt.backend` front door (registry contents,
-lookup errors, exactness queries, third-party registration), the
+lookup errors, exactness queries, third-party registration) and the
 deprecated ``reference_core`` boolean shims on :class:`GPUConfig`,
-:class:`Session`, and :class:`ParallelExecutor`, and the estimator's
-payload labelling — the API-surface half of the golden-equivalence
-guarantees pinned in ``test_fastpath_equivalence.py``.
+:class:`Session`, and :class:`ParallelExecutor` — the API-surface half
+of the golden-equivalence guarantees pinned in
+``test_fastpath_equivalence.py``.
 """
 
 from __future__ import annotations
@@ -32,15 +32,12 @@ from tests.conftest import make_fast_config
 
 class TestRegistry:
     def test_builtin_backends_registered(self):
-        assert available_core_backends() == [
-            "estimator", "fast", "reference", "vector",
-        ]
+        assert available_core_backends() == ["fast", "reference"]
 
     def test_exactness_flags(self):
-        assert get_core_backend("reference").exact
-        assert get_core_backend("fast").exact
-        assert get_core_backend("vector").exact
-        assert not get_core_backend("estimator").exact
+        # Byte-identity to the oracle is the price of registration.
+        for name in available_core_backends():
+            assert core_backend_is_exact(name)
 
     def test_only_reference_uses_reference_memory(self):
         for name in available_core_backends():
@@ -51,9 +48,17 @@ class TestRegistry:
         for name in available_core_backends():
             assert get_core_backend(name).description
 
-    def test_unknown_backend_raises_naming_available(self):
-        with pytest.raises(ConfigurationError, match="vector"):
-            get_core_backend("no-such-core")
+    @pytest.mark.parametrize("name", ["no-such-core", "vector",
+                                      "estimator"])
+    def test_unknown_backend_raises_naming_available(self, name):
+        """Unknown and retired names fail loudly, naming the real cores,
+        through the registry and through the Session front door."""
+        with pytest.raises(ConfigurationError,
+                           match=r"'fast', 'reference'") as err:
+            get_core_backend(name)
+        assert repr(name) in str(err.value)
+        with pytest.raises(ConfigurationError, match=r"'fast', 'reference'"):
+            Session(core=name)
 
     def test_unknown_backend_is_not_exact(self):
         # Conservative: an unknown name must never join the byte-identity
@@ -62,7 +67,8 @@ class TestRegistry:
 
     def test_exactness_by_name(self):
         assert core_backend_is_exact("fast")
-        assert core_backend_is_exact("vector")
+        assert core_backend_is_exact("reference")
+        assert not core_backend_is_exact("vector")
         assert not core_backend_is_exact("estimator")
 
     def test_third_party_registration_dispatches(self):
@@ -71,13 +77,12 @@ class TestRegistry:
         backend = CoreBackend(
             name="test-custom",
             factory=reference.factory,
-            exact=False,
             description="registry test double",
         )
         register_core_backend(backend)
         try:
             assert "test-custom" in available_core_backends()
-            assert not core_backend_is_exact("test-custom")
+            assert core_backend_is_exact("test-custom")
             gpu = GPU(make_fast_config(core_backend="test-custom"))
             workload = create_workload("vecadd", n=128, block_dim=64)
             workload.run(gpu)
@@ -107,8 +112,8 @@ class TestGPUConfigShim:
         assert repr(shim) == repr(make_fast_config(core_backend="reference"))
 
     def test_core_accepts_backend_name_string(self):
-        config = make_fast_config(core="vector")
-        assert config.core_backend == "vector"
+        config = make_fast_config(core="reference")
+        assert config.core_backend == "reference"
         from repro.simt.coreconfig import CoreConfig
 
         assert isinstance(config.core, CoreConfig)
@@ -147,7 +152,7 @@ class TestSessionShim:
     def test_session_core_conflict_rejected(self):
         with pytest.deprecated_call():
             with pytest.raises(ExperimentError):
-                Session(core="vector", reference_core=True)
+                Session(core="fast", reference_core=True)
 
     def test_session_shim_warns_and_maps(self):
         with pytest.deprecated_call():
@@ -178,126 +183,6 @@ class TestSessionShim:
         rebuilt = Experiment.from_dict(data)
         assert rebuilt.spec_hash() == spec.spec_hash()
         assert rebuilt.to_dict() == data
-
-
-class TestEstimatorLabelling:
-    def test_estimator_payload_labelled(self):
-        spec = Experiment.dynamic("gf100", "vecadd", n=256, block_dim=64)
-        record = Session(cache=False, core="estimator").run(spec)
-        assert record.payload["core"] == "estimator"
-        assert record.payload["estimated_cycles"] is True
-
-    @pytest.mark.parametrize("core", ["fast", "vector", "reference"])
-    def test_exact_payloads_unlabelled(self, core):
-        """Exact backends add no payload keys: byte-identity extends to
-        records produced before backends existed."""
-        spec = Experiment.dynamic("gf100", "vecadd", n=256, block_dim=64)
-        record = Session(cache=False, core=core).run(spec)
-        assert "core" not in record.payload
-        assert "estimated_cycles" not in record.payload
-
-
-class TestBackendOptions:
-    """The first-class backend-options surface (ISSUE 10 tentpole)."""
-
-    def test_estimator_declares_time_quantum(self):
-        backend = get_core_backend("estimator")
-        assert [option.name for option in backend.options] == ["time_quantum"]
-        option = backend.options[0]
-        assert option.type is int
-        assert option.default is None  # adaptive
-        assert option.description
-
-    def test_exact_backends_declare_no_options(self):
-        for name in ("reference", "fast", "vector"):
-            assert get_core_backend(name).options == ()
-
-    def test_unknown_option_names_backend_and_key(self):
-        from repro.simt.backend import validate_core_options
-
-        with pytest.raises(ConfigurationError) as err:
-            validate_core_options("estimator", {"quantum": 8})
-        message = str(err.value)
-        assert "estimator" in message
-        assert "quantum" in message
-        assert "time_quantum" in message  # lists the accepted options
-
-    def test_config_rejects_unknown_option_eagerly(self):
-        """The bad key fails at config construction, not first run."""
-        with pytest.raises(ConfigurationError, match="time_quantum"):
-            make_fast_config(core_backend="vector",
-                             core_options={"time_quantum": 8})
-
-    def test_config_coerces_and_sorts_options(self):
-        config = make_fast_config(core_backend="estimator",
-                                  core_options={"time_quantum": "16"})
-        assert config.core_options == {"time_quantum": 16}
-
-    def test_unregistered_backend_defers_option_validation(self):
-        """Unknown backends keep their options; the full unknown-backend
-        diagnostic fires at GPU construction as before."""
-        config = make_fast_config(core_backend="someday",
-                                  core_options={"x": 1})
-        assert config.core_options == {"x": 1}
-        with pytest.raises(ConfigurationError, match="someday"):
-            GPU(config)
-
-    def test_option_reaches_ldst_unit(self):
-        gpu = GPU(make_fast_config(core_backend="estimator",
-                                   core_options={"time_quantum": 16}))
-        assert all(sm.ldst.time_quantum == 16 for sm in gpu.sms)
-
-    def test_default_quantum_is_adaptive(self):
-        from repro.simt.vector import adaptive_time_quantum
-
-        gpu = GPU(make_fast_config(core_backend="estimator"))
-        expected = adaptive_time_quantum(gpu.memory_system)
-        assert all(sm.ldst.time_quantum == expected for sm in gpu.sms)
-
-    def test_adaptive_quantum_scales_with_latencies(self):
-        """Slower memory quantizes coarser — the quantum tracks the
-        fastest service path, not a fixed cycle count."""
-        from repro.simt.vector import adaptive_time_quantum
-
-        base = GPU(make_fast_config(core_backend="estimator"))
-        slowed = GPU(make_fast_config(core_backend="estimator").derive({
-            "partition.l2.hit_latency": 197,
-            "partition.dram.service_pad": 548,
-        }))
-        fast_quantum = adaptive_time_quantum(base.memory_system)
-        slow_quantum = adaptive_time_quantum(slowed.memory_system)
-        assert slow_quantum > fast_quantum
-        assert slow_quantum == 8  # the calibrated presets' long-tested value
-
-
-class TestParseCoreSpec:
-    """CLI core specs: ``name`` or ``name:key=value[,key=value...]``."""
-
-    def test_plain_name(self):
-        from repro.simt.backend import parse_core_spec
-
-        assert parse_core_spec("fast") == ("fast", {})
-
-    def test_single_option(self):
-        from repro.simt.backend import parse_core_spec
-
-        assert parse_core_spec("estimator:time_quantum=16") == (
-            "estimator", {"time_quantum": "16"})
-
-    def test_multiple_options(self):
-        from repro.simt.backend import parse_core_spec
-
-        name, options = parse_core_spec("x:a=1,b=2")
-        assert name == "x"
-        assert options == {"a": "1", "b": "2"}
-
-    @pytest.mark.parametrize("spec", [":a=1", "estimator:foo",
-                                      "estimator:=5", "estimator:"])
-    def test_malformed_specs_rejected(self, spec):
-        from repro.simt.backend import parse_core_spec
-
-        with pytest.raises(ConfigurationError):
-            parse_core_spec(spec)
 
 
 class TestShimUniformity:

@@ -7,15 +7,13 @@ import pytest
 from benchmarks.check_regression import load_means, main, write_step_summary
 
 
-def write_bench(path, means, ratio_gates=None):
+def write_bench(path, means):
     data = {
         "benchmarks": [
             {"fullname": name, "stats": {"mean": mean}}
             for name, mean in means.items()
         ],
     }
-    if ratio_gates is not None:
-        data["ratio_gates"] = ratio_gates
     path.write_text(json.dumps(data))
 
 
@@ -98,71 +96,6 @@ class TestCompare:
         current["bench/e.py::test_new"] = 9.9
         assert self._run(tmp_path, current) == 0
         assert "not gated" in capsys.readouterr().out
-
-
-#: A gate asserting a >= 2x ratio between two of the BASE benchmarks
-#: (baseline means: test_c = 4.0, test_b = 2.0 -> exactly 2.0x when the
-#: current run matches the baseline).
-GATE = {"name": "c-over-b", "numerator": "bench/c.py::test_c",
-        "denominator": "bench/b.py::test_b", "min_ratio": 2.0}
-
-
-class TestRatioGates:
-    def _run(self, tmp_path, current, gates, baseline=None):
-        baseline_path = tmp_path / "baseline.json"
-        current_path = tmp_path / "current.json"
-        write_bench(baseline_path, baseline or BASE, ratio_gates=gates)
-        write_bench(current_path, current)
-        return main(["--baseline", str(baseline_path),
-                     "--current", str(current_path)])
-
-    def test_gate_met_passes(self, tmp_path, capsys):
-        assert self._run(tmp_path, dict(BASE), [GATE]) == 0
-        out = capsys.readouterr().out
-        assert "ratio gate 'c-over-b': 2.00x" in out
-        assert "1 ratio gate(s) ok" in out
-
-    def test_gate_violated_fails(self, tmp_path, capsys):
-        # The numerator got faster relative to the denominator: the
-        # ratio drops below the minimum even though no absolute
-        # regression occurred anywhere.
-        current = dict(BASE)
-        current["bench/c.py::test_c"] = 3.0  # 1.5x over test_b
-        assert self._run(tmp_path, current, [GATE]) == 1
-        captured = capsys.readouterr()
-        assert "FAILED" in captured.out
-        assert "1.50x below the required 2.00x" in captured.err
-
-    def test_gate_immune_to_machine_drift(self, tmp_path):
-        # A uniformly 3x slower runner preserves every same-run ratio.
-        current = {name: mean * 3.0 for name, mean in BASE.items()}
-        assert self._run(tmp_path, current, [GATE]) == 0
-
-    def test_missing_gated_benchmark_fails(self, tmp_path, capsys):
-        # The gated benchmarks must exist in the current run; a gate
-        # whose benchmark vanished must not silently stop gating.  (The
-        # benchmark also vanishes from the baseline's means here so the
-        # missing-benchmark check does not fire first.)
-        baseline = {name: mean for name, mean in BASE.items()
-                    if name != "bench/c.py::test_c"}
-        current = dict(baseline)
-        assert self._run(tmp_path, current, [GATE],
-                         baseline=baseline) == 1
-        assert "did not run" in capsys.readouterr().err
-
-    def test_malformed_gate_exits_2(self, tmp_path):
-        with pytest.raises(SystemExit) as info:
-            self._run(tmp_path, dict(BASE), [{"name": "broken"}])
-        assert info.value.code == 2
-
-    def test_gates_in_step_summary(self, tmp_path, monkeypatch):
-        summary = tmp_path / "summary.md"
-        monkeypatch.setenv("GITHUB_STEP_SUMMARY", str(summary))
-        assert self._run(tmp_path, dict(BASE), [GATE]) == 0
-        text = summary.read_text()
-        assert "### Ratio gates" in text
-        assert "c-over-b" in text
-        assert "2.00x" in text
 
 
 class TestStepSummary:

@@ -1,11 +1,9 @@
 """Golden equivalence tests across the registered simulation cores.
 
-The simulator ships several core backends (see :mod:`repro.simt.backend`):
-the straight-line ``reference`` loop, the event-skipped ``fast`` core,
-and the batch ``vector`` core.  All three are registered *exact* and must
-be **byte-identical** on every result; the ``estimator`` backend is
-registered approximate and must stay inside its documented error bound.
-These tests pin those properties:
+The simulator ships two core backends (see :mod:`repro.simt.backend`):
+the straight-line ``reference`` oracle and the event-driven ``fast``
+core.  They must be **byte-identical** on every result.  These tests pin
+that property:
 
 * every registered workload, run on a calibrated preset, produces the
   same :class:`KernelResult` sequence (cycles, instructions, and the full
@@ -13,8 +11,8 @@ These tests pin those properties:
 * every registered GPU configuration agrees across the exact cores;
 * hypothesis-generated random small kernels (arithmetic hazard chains,
   divergent branches, global/shared memory traffic, barriers) agree;
-* the ``estimator`` core verifies, reports exact instruction counts, and
-  its cycle counts stay within the documented two-sided 10% bound;
+* the fast core's scalar/array readiness split and batched LD/ST unit
+  agree on their edge paths;
 * ``next_event_time`` never reports an event in the past — the invariant
   the idle fast-forward and the wake-time cache both rely on.
 """
@@ -31,29 +29,13 @@ from repro.experiments import Experiment, Session
 from repro.gpu import GPU, available_configs, get_config
 from repro.isa.builder import KernelBuilder
 from repro.memory.globalmem import WORD_SIZE
-from repro.simt.backend import available_core_backends, get_core_backend
+from repro.simt.backend import available_core_backends
 from repro.workloads import create_workload
 from tests.conftest import make_fast_config
 
-#: Every backend registered exact must hold byte-identity; computed from
-#: the registry so a newly registered exact backend is pinned
-#: automatically.
-EXACT_CORES = tuple(
-    name for name in available_core_backends()
-    if get_core_backend(name).exact
-)
-
-#: Documented relative cycle error bound for the ``estimator`` backend
-#: (see README "Simulation backends"; measured worst case is ~9.3%).
-ESTIMATOR_CYCLE_ERROR_BOUND = 0.10
-
-#: The estimator's error is additive: at most ``quantum - 1`` cycles per
-#: memory completion on the critical path.  On calibrated presets (real
-#: 100+-cycle memory latencies) that amortizes into the relative bound;
-#: on the tiny unit-test configuration the quantum rivals the memory
-#: latency itself, so short-kernel checks allow one quantum of absolute
-#: slack per serial dependent-load chain step instead.  Documented in
-#: the README alongside the 10% figure.
+#: The cores that must hold byte-identity: the oracle first, so every
+#: comparison is against it.
+EXACT_CORES = ("reference", "fast")
 
 #: Small problem sizes so the (slow) reference runs stay cheap.  The
 #: coverage test below fails if a newly registered workload is missing.
@@ -124,10 +106,7 @@ def compare_cores(config, workload_name, params, cores=None):
 class TestExactCoreRegistry:
     def test_exact_core_set(self):
         """The byte-identity class covers exactly the cores we prove."""
-        assert set(EXACT_CORES) == {"reference", "fast", "vector"}
-
-    def test_estimator_registered_approximate(self):
-        assert not get_core_backend("estimator").exact
+        assert set(available_core_backends()) == set(EXACT_CORES)
 
 
 class TestWorkloadEquivalence:
@@ -142,6 +121,28 @@ class TestWorkloadEquivalence:
     @pytest.mark.parametrize("workload_name", sorted(WORKLOAD_PARAMS))
     def test_workload_identical_on_all_exact_cores(self, workload_name):
         compare_cores("gf100", workload_name, WORKLOAD_PARAMS[workload_name])
+
+
+#: ``fast`` cycle counts of the builder workloads at their default sizes
+#: on gf106 (``repro dynamic --config gf106 --workload NAME``): the
+#: regression data for realistic problem sizes, pinned the way Table I
+#: is.  The suites above use tiny inputs.
+DEFAULT_SIZE_CYCLES = {
+    "bfs": 96446,
+    "spmv": 97072,
+    "matmul": 40774,
+    "reduction": 8080,
+    "stencil": 2214,
+    "vecadd": 2750,
+}
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("workload_name", sorted(DEFAULT_SIZE_CYCLES))
+def test_default_size_cycles_pinned(workload_name):
+    results = run_workload(get_config("gf106"), workload_name, {})
+    assert (sum(result.cycles for result in results)
+            == DEFAULT_SIZE_CYCLES[workload_name])
 
 
 class TestConfigEquivalence:
@@ -175,8 +176,7 @@ class TestConfigEquivalence:
 
 
 class TestSessionEquivalence:
-    @pytest.mark.parametrize("core",
-                             [core for core in ("reference", "vector")])
+    @pytest.mark.parametrize("core", ["reference"])
     def test_session_payloads_byte_identical(self, core):
         spec = Experiment.dynamic("gf100", "vecadd", n=256, block_dim=64)
         fast = Session(cache=False).run(spec)
@@ -185,8 +185,8 @@ class TestSessionEquivalence:
                 == json.dumps(other.payload, sort_keys=True))
 
     def test_session_core_rewrites_configs(self):
-        session = Session(core="vector")
-        assert session.resolve_config("gf100").core_backend == "vector"
+        session = Session(core="reference")
+        assert session.resolve_config("gf100").core_backend == "reference"
         assert Session().resolve_config("gf100").core_backend == "fast"
 
     def test_session_reference_core_shim(self):
@@ -317,61 +317,8 @@ class TestMicrobenchEquivalence:
                       WORKLOAD_PARAMS["microbench_mlp4"])
 
 
-#: Workloads whose estimator error is checked against the documented
-#: bound.  bfs is the measured worst case (~9.3% on gf100).
-ESTIMATOR_WORKLOADS = ["vecadd", "bfs", "microbench", "stencil"]
-
-
-class TestEstimatorBounds:
-    """The ``estimator`` backend's accuracy contract.
-
-    It is *not* byte-identical (it quantizes memory completion times to
-    coarsen the event grid); the contract is: results verify, instruction
-    counts are exact, and cycle counts stay within
-    :data:`ESTIMATOR_CYCLE_ERROR_BOUND` of the exact cores.  The bound is
-    two-sided: individual completions are only ever delayed, but the
-    induced interleaving change is not monotone, so end-to-end counts
-    usually land high yet can come in slightly under.
-    """
-
-    @pytest.mark.parametrize("workload_name", ESTIMATOR_WORKLOADS)
-    def test_estimator_within_documented_bound(self, workload_name):
-        params = WORKLOAD_PARAMS[workload_name]
-        config = get_config("gf100")
-        exact = run_workload(config, workload_name, params)
-        estimated = run_workload(config.replace(core_backend="estimator"),
-                                 workload_name, params)
-        assert len(estimated) == len(exact)
-        for est, ref in zip(estimated, exact):
-            assert est.instructions == ref.instructions
-            error = abs(est.cycles - ref.cycles) / ref.cycles
-            assert error <= ESTIMATOR_CYCLE_ERROR_BOUND, (
-                f"estimator cycle error {error:.2%} exceeds the "
-                f"documented {ESTIMATOR_CYCLE_ERROR_BOUND:.0%} bound on "
-                f"{workload_name}"
-            )
-
-    @settings(max_examples=8, deadline=None)
-    @given(axes=MICROBENCH_AXES)
-    def test_estimator_bound_on_random_specs(self, axes):
-        from repro.simt.vector import ESTIMATOR_TIME_QUANTUM
-
-        # One quantized memory completion per serial chain step (the
-        # microbench issues `iters` dependent loads back to back, plus
-        # the initial load and the epilogue store), each delayed by less
-        # than one quantum.
-        slack = ESTIMATOR_TIME_QUANTUM * (axes["iters"] + 2)
-        exact = run_workload(make_fast_config(), "microbench", axes)
-        estimated = run_workload(
-            make_fast_config(core_backend="estimator"), "microbench", axes)
-        for est, ref in zip(estimated, exact):
-            assert est.instructions == ref.instructions
-            assert (abs(est.cycles - ref.cycles)
-                    <= ref.cycles * ESTIMATOR_CYCLE_ERROR_BOUND + slack)
-
-
 class TestNextEventTimeInvariant:
-    @pytest.mark.parametrize("core", ["fast", "vector"])
+    @pytest.mark.parametrize("core", EXACT_CORES)
     def test_next_event_time_never_in_the_past(self, monkeypatch, core):
         """Every component's next event is strictly after ``now``.
 
@@ -406,7 +353,7 @@ class TestNextEventTimeInvariant:
 
         # _clock_check_hook is the dedicated seam: it fires at every
         # clock-advance decision of both cycle loops (the generic one
-        # and the device-skip loop of fast and vector, which inlines its
+        # and the device-skip loop of the fast core, which inlines its
         # clock advance and never calls _advance_clock).
         monkeypatch.setattr(GPUClass, "_clock_check_hook",
                             staticmethod(checked))
@@ -419,10 +366,10 @@ class TestNextEventTimeInvariant:
 def build_wide_register_kernel():
     """A kernel whose register indices overflow the 64-bit scoreboard mask.
 
-    The vector core's array scheduler requires every register index to
-    fit a 64-bit readiness bitmask; this program allocates past that
-    width, forcing the per-warp scalar fallback while the batched LD/ST
-    unit still services its loads and stores.
+    The fast core's array readiness evaluation requires every register
+    index to fit a 64-bit bitmask; this program allocates past that
+    width, forcing the scalar walk at every candidate-set size while the
+    batched LD/ST unit still services its loads and stores.
     """
     builder = KernelBuilder("wide-regs")
     base = builder.param("base")
@@ -465,7 +412,7 @@ def build_divergent_load_kernel():
 class TestBatchedLdstEdgeCases:
     """Byte-identity on the batched LD/ST unit's documented edge paths.
 
-    The ``vector`` core pairs with :class:`BatchedLoadStoreUnit`; each
+    The ``fast`` core pairs with :class:`BatchedLoadStoreUnit`; each
     case below drives one of its fallback or stall paths — scoreboard
     mask overflow, candidate sets at/below the scalar-evaluation
     threshold, divergent half-warp loads, and MSHR-full stalls — and
@@ -484,14 +431,27 @@ class TestBatchedLdstEdgeCases:
         for core in EXACT_CORES[1:]:
             assert_results_identical([run(core)], [baseline])
 
-    def test_mask_overflow_scalar_fallback(self):
-        from repro.simt.vector import VectorCore
+    @pytest.mark.parametrize("sms,schedulers,grid_dim,block_dim", [
+        (2, 2, 2, 64),
+        # 24 warps on one scheduler: candidate sets above the scalar
+        # threshold still take the scalar walk.
+        (1, 1, 3, 256),
+    ], ids=["small-sets", "one-scheduler-24-warps"])
+    def test_mask_overflow_scalar_fallback(self, sms, schedulers, grid_dim,
+                                           block_dim):
+        from repro.simt.core import _SCALAR_EVAL_THRESHOLD, FastCore
 
         program = build_wide_register_kernel()
         # The case only exists while the program genuinely overflows
         # the mask; this guards the test against builder changes.
-        assert not VectorCore._vectorizable(program)
-        self._compare_program(program, make_fast_config())
+        assert not FastCore._vectorizable(program)
+        config = make_fast_config().derive({"num_sms": sms,
+                                            "core.num_schedulers":
+                                            schedulers})
+        if sms == 1:
+            assert grid_dim * block_dim // 32 > _SCALAR_EVAL_THRESHOLD
+        self._compare_program(program, config, grid_dim=grid_dim,
+                              block_dim=block_dim)
 
     def test_divergent_half_warp_loads(self):
         self._compare_program(build_divergent_load_kernel(),
@@ -502,7 +462,7 @@ class TestBatchedLdstEdgeCases:
                                                          warps_per_cta,
                                                          ctas):
         """Tiny occupancy keeps every candidate set on the scalar path."""
-        from repro.simt.vector import _SCALAR_EVAL_THRESHOLD
+        from repro.simt.core import _SCALAR_EVAL_THRESHOLD
 
         assert warps_per_cta * ctas * 32 // 64 <= _SCALAR_EVAL_THRESHOLD
         params = {"ilp": 2, "mlp": 2, "arith_per_load": 2,
@@ -519,7 +479,7 @@ class TestBatchedLdstEdgeCases:
 
     def test_candidate_sets_above_scalar_threshold(self):
         """One scheduler holding 24 warps exercises the array path."""
-        from repro.simt.vector import _SCALAR_EVAL_THRESHOLD
+        from repro.simt.core import _SCALAR_EVAL_THRESHOLD
 
         config = make_fast_config().derive({"num_sms": 1,
                                             "core.num_schedulers": 1})

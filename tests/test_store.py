@@ -268,89 +268,27 @@ class TestStoreKey:
 
 # ----------------------------------------------------------------------
 # Core-backend keying: the config_hash exemption is restricted to the
-# proven-byte-identical equivalence class (reference/fast/vector);
-# everything else is keyed separately.
+# registered, byte-identical backends (fast/reference); everything else
+# is keyed separately.
 # ----------------------------------------------------------------------
 class TestCoreBackendKeying:
     def test_exact_cores_share_config_hash(self):
         base = Session().store_key(CHEAP)
-        for core in ("reference", "fast", "vector"):
+        for core in ("reference", "fast"):
             assert (Session(core=core).store_key(CHEAP).as_tuple()
                     == base.as_tuple()), core
-
-    def test_estimator_keyed_separately(self):
-        exact = Session().store_key(CHEAP)
-        estimated = Session(core="estimator").store_key(CHEAP)
-        assert exact.config_hash != estimated.config_hash
-        assert exact.spec_hash == estimated.spec_hash
 
     def test_unknown_backend_keyed_separately(self):
         a = make_fast_config(name="x")
         fingerprints = {
             config_fingerprint([a]),
+            config_fingerprint([a.replace(core_backend="reference")]),
             config_fingerprint([a.replace(core_backend="vector")]),
-            config_fingerprint([a.replace(core_backend="estimator")]),
             config_fingerprint([a.replace(core_backend="third-party")]),
         }
-        # fast == vector (exact class); estimator and the unknown name
-        # each hash differently.
+        # fast == reference (registered); the retired and the unknown
+        # name each hash differently.
         assert len(fingerprints) == 3
-
-    def test_core_options_keyed_separately(self):
-        """Two option sets are two result spaces — the store must never
-        cross-serve differently-quantized estimator results."""
-        base = make_fast_config(name="x", core_backend="estimator")
-        default = config_fingerprint([base])
-        q16 = config_fingerprint(
-            [base.replace(core_options={"time_quantum": 16})])
-        q8 = config_fingerprint(
-            [base.replace(core_options={"time_quantum": 8})])
-        assert len({default, q16, q8}) == 3
-        # Coercion canonicalizes: "16" and 16 fingerprint identically.
-        assert q16 == config_fingerprint(
-            [base.replace(core_options={"time_quantum": "16"})])
-
-    def test_differently_quantized_sessions_not_cross_served(self):
-        store = MemoryStore()
-        coarse = Session(store=store, core="estimator",
-                         core_options={"time_quantum": 32})
-        coarse.run(CHEAP)
-        fine = Session(store=store, core="estimator",
-                       core_options={"time_quantum": 2})
-        fine.run(CHEAP)
-        assert fine.counters()["store_hits"] == 0
-        assert fine.counters()["simulated"] == 1
-
-    def test_vector_served_fast_results(self):
-        """Warm store written by the fast core serves a vector session."""
-        store = MemoryStore()
-        Session(store=store).run(CHEAP)
-        vector = Session(store=store, core="vector")
-        warm = vector.run(CHEAP)
-        assert vector.counters()["simulated"] == 0
-        assert vector.counters()["store_hits"] == 1
-        assert warm.to_json() == Session().run(CHEAP).to_json()
-
-    def test_estimator_never_served_for_exact_requests(self):
-        """An estimator-populated store must not satisfy an exact run."""
-        store = MemoryStore()
-        estimator = Session(store=store, core="estimator")
-        estimator.run(CHEAP)
-        assert estimator.counters()["simulated"] == 1
-
-        exact = Session(store=store)
-        exact.run(CHEAP)
-        assert exact.counters()["store_hits"] == 0
-        assert exact.counters()["simulated"] == 1
-
-    def test_exact_results_never_served_for_estimator_requests(self):
-        store = MemoryStore()
-        Session(store=store).run(CHEAP)
-        estimator = Session(store=store, core="estimator")
-        record = estimator.run(CHEAP)
-        assert estimator.counters()["store_hits"] == 0
-        assert estimator.counters()["simulated"] == 1
-        assert record.payload["estimated_cycles"] is True
 
 
 # ----------------------------------------------------------------------

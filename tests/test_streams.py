@@ -22,7 +22,7 @@ from repro.utils.errors import (
 )
 from repro.workloads import create_workload
 
-EXACT_CORES = ("reference", "fast", "vector")
+EXACT_CORES = ("reference", "fast")
 
 SHARED = (None, None)
 PARTITIONED = ((0, 1), (2, 3))
@@ -152,7 +152,6 @@ class TestExactCoreEquivalence:
             _, results = run_two_kernel_scenario(gpu, masks=masks)
             fingerprints[core] = result_fingerprint(results)
         assert fingerprints["fast"] == fingerprints["reference"]
-        assert fingerprints["vector"] == fingerprints["reference"]
 
 
 class TestAttribution:
@@ -232,7 +231,7 @@ class TestLimitsAndClock:
                            match="kernel 'stencil3' exceeded 10 cycles"):
             gpu.run_until_idle()
 
-    @pytest.mark.parametrize("core", ("fast", "vector"))
+    @pytest.mark.parametrize("core", EXACT_CORES)
     def test_advance_clock_never_moves_backwards(self, core, monkeypatch):
         gpu = make_gpu(core)
         observed = []
@@ -338,15 +337,6 @@ class TestScenarioExperiments:
         parallel = Session(cache=False).run_all(experiments, jobs=2)
         assert serial.to_json() == parallel.to_json()
 
-    def test_estimator_scenario_labeled_approximate(self):
-        session = Session(core="estimator")
-        record = session.run(Experiment.scenario("gf106", [
-            {"workload": "vecadd", "params": {"n": 256}},
-            {"workload": "stencil", "params": {"n": 256}, "stream": 1},
-        ]))
-        assert record.payload["core"] == "estimator"
-        assert record.payload["estimated_cycles"] is True
-
     def test_record_json_roundtrip(self):
         session = Session()
         record = session.run(Experiment.scenario("gf106", [
@@ -387,28 +377,28 @@ class TestKernelTokenParsing:
 
 class TestCoreBackendAliases:
     def test_session_accepts_core_backend(self):
-        session = Session(core_backend="vector")
-        assert session.core == "vector"
+        session = Session(core_backend="reference")
+        assert session.core == "reference"
 
     def test_session_alias_conflict_rejected(self):
         with pytest.raises(ExperimentError, match="conflicts"):
-            Session(core="fast", core_backend="vector")
+            Session(core="fast", core_backend="reference")
 
     def test_session_matching_alias_accepted(self):
-        session = Session(core="vector", core_backend="vector")
-        assert session.core == "vector"
+        session = Session(core="reference", core_backend="reference")
+        assert session.core == "reference"
 
     def test_parallel_executor_accepts_core_backend(self):
         from repro.experiments import ParallelExecutor
 
-        executor = ParallelExecutor(jobs=1, core_backend="vector")
-        assert executor._core == "vector"
+        executor = ParallelExecutor(jobs=1, core_backend="reference")
+        assert executor._core == "reference"
 
     def test_parallel_executor_alias_conflict_rejected(self):
         from repro.experiments import ParallelExecutor
 
         with pytest.raises(ExperimentError, match="conflicts"):
-            ParallelExecutor(jobs=1, core="fast", core_backend="vector")
+            ParallelExecutor(jobs=1, core="fast", core_backend="reference")
 
 
 class TestColocationSweep:
