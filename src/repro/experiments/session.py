@@ -62,7 +62,7 @@ from repro.experiments.spec import (
 )
 from repro.gpu import GPU, get_config, table_i_generations
 from repro.gpu.config import GPUConfig
-from repro.simt.backend import get_core_backend, resolve_reference_core
+from repro.simt.backend import get_core_backend
 from repro.utils.errors import ExperimentError
 from repro.workloads import create_workload
 from repro.workloads.base import Workload
@@ -133,14 +133,7 @@ class Session:
         every configuration this session resolves runs on that backend;
         when ``None`` (the default) each configuration's own
         ``core_backend`` field decides.  This is the programmatic face
-        of the CLI's ``--core`` flag.  ``core_backend=`` is accepted as
-        an equivalent alias (matching the :class:`GPUConfig` field
-        name); passing both with different values is an error.
-    reference_core:
-        **Deprecated** boolean predecessor of ``core``.
-        ``Session(reference_core=True)`` still works: it emits a
-        :class:`DeprecationWarning` and behaves exactly like
-        ``core="reference"``.
+        of the CLI's ``--core`` flag.
     store:
         Optional persistent result store: a
         :class:`~repro.store.ResultStore` instance, or a target string /
@@ -156,26 +149,8 @@ class Session:
     def __init__(self, cache: bool = True,
                  configs: Optional[Mapping[str, GPUConfig]] = None,
                  core: Optional[str] = None,
-                 reference_core: bool = False,
-                 store: Union[None, str, os.PathLike, Any] = None,
-                 core_backend: Optional[str] = None) -> None:
+                 store: Union[None, str, os.PathLike, Any] = None) -> None:
         self.cache_enabled = cache
-        if core_backend is not None:
-            # ``core_backend=`` is a first-class alias for ``core=`` so
-            # the Session spelling matches GPUConfig's field name.
-            if core is not None and core != core_backend:
-                raise ExperimentError(
-                    f"core={core!r} conflicts with "
-                    f"core_backend={core_backend!r}"
-                )
-            core = core_backend
-        core = resolve_reference_core(
-            core, reference_core,
-            owner="Session(reference_core=True)",
-            replacement="core='reference'",
-            conflict_error=ExperimentError,
-            stacklevel=3,
-        )
         if core is not None:
             # Fail here, naming the registered backends, not at the
             # first simulation (a store hit would never reach it).

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Any, Mapping, Optional, Union
+from typing import Any, Mapping, Optional
 
 from repro.memory.address import AddressMapping
 from repro.memory.interconnect import InterconnectConfig
@@ -57,17 +57,14 @@ class GPUConfig:
     num_sms:
         Number of streaming multiprocessors.
     core:
-        Per-SM configuration (schedulers, pipelines, L1).  As a
-        convenience, a backend *name* string may be passed here
-        (``GPUConfig(core="reference")``); it is moved to
-        :attr:`core_backend` and the per-SM configuration falls back to
-        the :class:`CoreConfig` defaults.
+        Per-SM configuration (schedulers, pipelines, L1).
     core_backend:
         Name of the registered simulation-core backend that executes
-        this configuration's SMs (see :mod:`repro.simt.backend`).
-        Built-ins: ``"fast"`` (the event-driven core, the default)
-        and ``"reference"`` (the trusted straight-line oracle); both
-        are byte-identical.  Validated against the registry when a
+        this configuration's SMs (see :mod:`repro.simt.backend`); the
+        one configuration-level way to choose a core.  Built-ins:
+        ``"fast"`` (the event-driven core, the default) and
+        ``"reference"`` (the trusted straight-line oracle); both are
+        byte-identical.  Validated against the registry when a
         :class:`~repro.gpu.gpu.GPU` is built.
     interconnect:
         Crossbar parameters shared by the request and reply networks.
@@ -79,52 +76,30 @@ class GPUConfig:
         Size of the functional global memory backing store.
     max_cycles:
         Safety limit on simulated cycles per kernel launch.
-    reference_core:
-        **Deprecated** boolean predecessor of :attr:`core_backend`.
-        ``GPUConfig(reference_core=True)`` still works: it emits a
-        :class:`DeprecationWarning` and normalizes to
-        ``core_backend="reference"`` (the stored field is reset to
-        ``False`` so reprs — and therefore store fingerprints — have a
-        single canonical form).  Use ``core_backend="reference"``.
     """
 
     name: str
     description: str = ""
     num_sms: int = 4
-    core: Union[CoreConfig, str] = field(default_factory=CoreConfig)
+    core: CoreConfig = field(default_factory=CoreConfig)
     interconnect: InterconnectConfig = field(default_factory=InterconnectConfig)
     mapping: AddressMapping = field(default_factory=AddressMapping)
     partition: PartitionConfig = field(default_factory=PartitionConfig)
     global_memory_bytes: int = 64 * 1024 * 1024
     max_cycles: int = 50_000_000
     core_backend: str = "fast"
-    reference_core: bool = False
 
     def __post_init__(self) -> None:
-        if isinstance(self.core, str):
-            # GPUConfig(core="reference"): a backend name in the core slot.
-            object.__setattr__(self, "core_backend", self.core)
-            object.__setattr__(self, "core", CoreConfig())
+        if not isinstance(self.core, CoreConfig):
+            raise ConfigurationError(
+                f"core must be a CoreConfig, got {type(self.core).__name__}; "
+                "choose a simulation core with core_backend=..."
+            )
         if not isinstance(self.core_backend, str) or not self.core_backend:
             raise ConfigurationError(
                 "core_backend must be a non-empty backend name (see "
                 "repro.simt.backend.available_core_backends())"
             )
-        if self.reference_core:
-            # Deferred import: repro.simt.backend is dependency-free, but
-            # keeping it out of the module header mirrors the lazy
-            # registry imports elsewhere in the config layer.
-            from repro.simt.backend import resolve_reference_core
-
-            resolve_reference_core(
-                None, True,
-                owner="GPUConfig(reference_core=True)",
-                replacement="core_backend='reference' "
-                            "(or core='reference')",
-                stacklevel=4,
-            )
-            object.__setattr__(self, "core_backend", "reference")
-            object.__setattr__(self, "reference_core", False)
         if self.num_sms < 1:
             raise ConfigurationError("num_sms must be >= 1")
         if self.global_memory_bytes < 1024:

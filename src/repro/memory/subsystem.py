@@ -32,7 +32,7 @@ _NEVER = float("inf")
 class MemorySystem:
     """Interconnect + memory partitions, shared by all SMs.
 
-    Unless constructed with ``reference_core=True``, :meth:`cycle` skips
+    Unless constructed with ``reference_memory=True``, :meth:`cycle` skips
     idle work at two levels:
 
     * **per partition** — each partition has a cached wake time, its
@@ -61,7 +61,7 @@ class MemorySystem:
         partition_config: PartitionConfig,
         tracker: LatencyTracker,
         reply_inject_per_cycle: int = 1,
-        reference_core: bool = False,
+        reference_memory: bool = False,
     ) -> None:
         if num_sms < 1:
             raise ConfigurationError("memory system needs at least one SM")
@@ -86,7 +86,7 @@ class MemorySystem:
             name="icnt_rep",
         )
         self.stats = StatCounters(prefix="memsys")
-        self.reference_core = reference_core
+        self.reference_memory = reference_memory
         self._wake: float = 0
         # Cached next_event_time enumeration.  Unlike ``_wake`` (the
         # body-skip guard, deliberately conservative-early after an
@@ -180,13 +180,13 @@ class MemorySystem:
     def cycle(self, now: int) -> None:
         """Advance the networks and the due partitions by one cycle.
 
-        In fast mode (``reference_core=False``) the body is skipped while
+        In fast mode (``reference_memory=False``) the body is skipped while
         ``now`` is before the cached wake-up time, and inside it only
         partitions whose wake is due or that have a delivered request
         waiting are ticked — see the class docstring for why that is
         behaviour-identical.
         """
-        reference = self.reference_core
+        reference = self.reference_memory
         if now < self._wake and not reference:
             return
         request_network = self.request_network
@@ -245,7 +245,7 @@ class MemorySystem:
                 if event_time <= soon:
                     return soon
                 best = min(best, event_time)
-        if not self.reference_core:
+        if not self.reference_memory:
             event_time = min(self._partition_wake, default=_NEVER)
             return soon if event_time <= soon else min(best, event_time)
         for partition in self.partitions:
@@ -277,12 +277,12 @@ class MemorySystem:
         minimum is the value a fresh enumeration would produce.  The
         reference path always re-enumerates.
         """
-        if (not self.reference_core and not self._next_stale
+        if (not self.reference_memory and not self._next_stale
                 and self._next > now):
             wake = self._next
         else:
             wake = self._compute_wake(now)
-            if not self.reference_core:
+            if not self.reference_memory:
                 self._next = wake
                 self._next_stale = False
         return None if wake == _NEVER else int(wake)

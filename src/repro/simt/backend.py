@@ -53,9 +53,8 @@ one persistent-store ``config_hash`` equivalence class (see
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
-from typing import Any, Callable, List, Optional, Type
+from typing import Any, Callable, List
 
 from repro.utils.errors import ConfigurationError, RegistryError
 from repro.utils.registry import Registry
@@ -130,55 +129,6 @@ def available_core_backends() -> List[str]:
     """Sorted names of all registered core backends."""
     _load_builtin_backends()
     return CORE_BACKENDS.names()
-
-
-#: Uniform deprecation text of the retired ``reference_core`` boolean.
-#: Every shim — ``GPUConfig(reference_core=True)``,
-#: ``Session(reference_core=True)``, ``ParallelExecutor(...)``, and the
-#: CLI's ``--reference-core`` — formats this one template, so the
-#: guidance users see is identical everywhere.
-REFERENCE_CORE_DEPRECATION = "{owner} is deprecated; use {replacement}"
-
-
-def reference_core_message(owner: str, replacement: str) -> str:
-    """The uniform deprecation message for one ``reference_core`` shim."""
-    return REFERENCE_CORE_DEPRECATION.format(owner=owner,
-                                             replacement=replacement)
-
-
-def resolve_reference_core(
-    core: Optional[str],
-    reference_core: bool,
-    *,
-    owner: str,
-    replacement: str,
-    conflict_error: Optional[Type[Exception]] = None,
-    stacklevel: int = 3,
-) -> Optional[str]:
-    """Consolidated shim for the deprecated ``reference_core`` boolean.
-
-    When ``reference_core`` is falsy, returns ``core`` unchanged.
-    Otherwise emits the uniform :class:`DeprecationWarning` (see
-    :func:`reference_core_message`) and returns ``"reference"``; if
-    ``core`` names a *different* backend at the same time, raises
-    ``conflict_error`` (when given) instead of silently preferring one.
-    ``owner``/``replacement`` name the call site, e.g.
-    ``owner="Session(reference_core=True)"``,
-    ``replacement="Session(core='reference')"``.
-    """
-    if not reference_core:
-        return core
-    warnings.warn(
-        reference_core_message(owner, replacement),
-        DeprecationWarning,
-        stacklevel=stacklevel,
-    )
-    if core is not None and core != "reference":
-        if conflict_error is not None:
-            raise conflict_error(
-                f"core={core!r} conflicts with reference_core=True"
-            )
-    return "reference"
 
 
 def core_backend_is_exact(name: str) -> bool:

@@ -87,16 +87,12 @@ def config_fingerprint(configs: Iterable[Any]) -> str:
     byte-identical results by contract — pinned by the golden
     equivalence tests — so a store populated by one must serve the
     others.  A name this process does not know keeps its name, so its
-    results are keyed separately.  The legacy ``reference_core`` boolean
-    is normalized to ``False`` for the same reason (it only ever
-    selected between two exact cores).
+    results are keyed separately.
     """
     from repro.simt.backend import core_backend_is_exact
 
     digest = hashlib.sha256()
     for config in configs:
-        if getattr(config, "reference_core", False):
-            config = config.replace(reference_core=False)
         backend = getattr(config, "core_backend", None)
         if (backend is not None and backend != "fast"
                 and core_backend_is_exact(backend)):

@@ -25,7 +25,7 @@ Typical usage::
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional
 
 from repro.utils.errors import RegistryError
 
@@ -181,21 +181,5 @@ class Registry:
         """Sorted names of everything registered."""
         return sorted(self._entries)
 
-    def items(self) -> List[Tuple[str, Any]]:
-        """Sorted (name, object) pairs."""
-        return [(name, self._entries[name].obj) for name in self.names()]
-
     def __contains__(self, name: object) -> bool:
         return name in self._entries
-
-    def __getitem__(self, name: str) -> Any:
-        return self.get(name)
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __iter__(self):
-        return iter(self.names())
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Registry({self.kind!r}, {len(self)} entries)"

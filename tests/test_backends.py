@@ -1,22 +1,21 @@
-"""Tests for the simulation-core backend registry and its shims.
+"""Tests for the simulation-core backend registry and the ways to pick one.
 
 Covers the :mod:`repro.simt.backend` front door (registry contents,
 lookup errors, exactness queries, third-party registration) and the
-deprecated ``reference_core`` boolean shims on :class:`GPUConfig`,
-:class:`Session`, and :class:`ParallelExecutor` — the API-surface half
-of the golden-equivalence guarantees pinned in
-``test_fastpath_equivalence.py``.
+core-selection surface: ``GPUConfig.core_backend``, ``Session(core=)``,
+``ParallelExecutor(core=)`` and ``--core`` are the only spellings, and
+every retired spelling fails loudly — the API-surface half of the
+golden-equivalence guarantees pinned in ``test_fastpath_equivalence.py``.
 """
 
 from __future__ import annotations
 
-import json
-
 import pytest
 
+from repro.cli import main
 from repro.experiments import Experiment, Session
-from repro.gpu import GPU, get_config
-from repro.gpu.config import GPUConfig
+from repro.experiments.parallel import ParallelExecutor
+from repro.gpu import GPU
 from repro.simt.backend import (
     CORE_BACKENDS,
     CoreBackend,
@@ -25,7 +24,7 @@ from repro.simt.backend import (
     get_core_backend,
     register_core_backend,
 )
-from repro.utils.errors import ConfigurationError, ExperimentError
+from repro.utils.errors import ConfigurationError
 from repro.workloads import create_workload
 from tests.conftest import make_fast_config
 
@@ -98,26 +97,6 @@ class TestRegistry:
 
 
 class TestGPUConfigShim:
-    def test_reference_core_true_warns_and_normalizes(self):
-        with pytest.deprecated_call():
-            config = make_fast_config(reference_core=True)
-        assert config.core_backend == "reference"
-        # The stored boolean resets so the repr (and therefore the store
-        # fingerprint) has one canonical form.
-        assert config.reference_core is False
-
-    def test_shim_repr_matches_canonical_form(self):
-        with pytest.deprecated_call():
-            shim = make_fast_config(reference_core=True)
-        assert repr(shim) == repr(make_fast_config(core_backend="reference"))
-
-    def test_core_accepts_backend_name_string(self):
-        config = make_fast_config(core="reference")
-        assert config.core_backend == "reference"
-        from repro.simt.coreconfig import CoreConfig
-
-        assert isinstance(config.core, CoreConfig)
-
     def test_empty_core_backend_rejected(self):
         with pytest.raises(ConfigurationError):
             make_fast_config(core_backend="")
@@ -127,52 +106,8 @@ class TestGPUConfigShim:
         with pytest.raises(ConfigurationError):
             GPU(config)
 
-    def test_shim_runs_end_to_end_byte_identical(self):
-        """Acceptance: ``GPUConfig(reference_core=True)`` still runs, and
-        its results are byte-identical to ``core_backend="reference"``."""
-        def run(config):
-            gpu = GPU(config)
-            workload = create_workload("vecadd", n=256, block_dim=64)
-            results = workload.run(gpu)
-            assert workload.verify(gpu)
-            return results
-
-        with pytest.deprecated_call():
-            shim_config = make_fast_config(reference_core=True)
-        shim = run(shim_config)
-        named = run(make_fast_config(core_backend="reference"))
-        assert len(shim) == len(named)
-        for a, b in zip(shim, named):
-            assert a.cycles == b.cycles
-            assert (json.dumps(a.stats, sort_keys=True)
-                    == json.dumps(b.stats, sort_keys=True))
-
 
 class TestSessionShim:
-    def test_session_core_conflict_rejected(self):
-        with pytest.deprecated_call():
-            with pytest.raises(ExperimentError):
-                Session(core="fast", reference_core=True)
-
-    def test_session_shim_warns_and_maps(self):
-        with pytest.deprecated_call():
-            session = Session(reference_core=True)
-        assert session.core == "reference"
-
-    def test_parallel_executor_shim_warns_and_maps(self):
-        from repro.experiments.parallel import ParallelExecutor
-
-        with pytest.deprecated_call():
-            executor = ParallelExecutor(jobs=1, reference_core=True)
-        assert executor._core == "reference"
-
-    def test_parallel_executor_core_conflict_rejected(self):
-        from repro.experiments.parallel import ParallelExecutor
-
-        with pytest.deprecated_call():
-            with pytest.raises(ExperimentError):
-                ParallelExecutor(jobs=1, core="fast", reference_core=True)
-
     def test_old_spec_dicts_round_trip(self):
         """Specs predate backends and never carried core fields; their
         dict form (and hash) is untouched by the backend redesign."""
@@ -185,26 +120,37 @@ class TestSessionShim:
         assert rebuilt.to_dict() == data
 
 
-class TestShimUniformity:
-    """All three ``reference_core`` shims share one helper and one
-    message shape: ``"<owner> is deprecated; use <replacement>"``."""
+#: Every retired core-selection spelling, with how it must fail.
+RETIRED_SPELLINGS = {
+    "Session(reference_core=True)":
+        (TypeError, lambda: Session(reference_core=True)),
+    "Session(core_backend='reference')":
+        (TypeError, lambda: Session(core_backend="reference")),
+    "ParallelExecutor(reference_core=True)":
+        (TypeError, lambda: ParallelExecutor(jobs=1, reference_core=True)),
+    "GPUConfig(reference_core=True)":
+        (TypeError, lambda: make_fast_config(reference_core=True)),
+    "GPUConfig(core='reference')":
+        (ConfigurationError, lambda: make_fast_config(core="reference")),
+    "repro-dynamic--reference-core":
+        (SystemExit, lambda: main(["dynamic", "--config", "gf100",
+                                   "--workload", "vecadd", "--param", "n=64",
+                                   "--reference-core"])),
+}
 
-    def test_gpu_config_shim_message(self):
-        with pytest.warns(DeprecationWarning,
-                          match=r"GPUConfig\(reference_core=True\) is "
-                                r"deprecated; use core_backend='reference'"):
-            make_fast_config(reference_core=True)
 
-    def test_session_shim_message(self):
-        with pytest.warns(DeprecationWarning,
-                          match=r"Session\(reference_core=True\) is "
-                                r"deprecated; use core='reference'"):
-            Session(reference_core=True)
+class TestRetiredSpellings:
+    """``core_backend`` / ``core=`` / ``--core`` are the only ways to
+    choose a core; the spellings retired with the ``reference_core``
+    shims fail loudly instead of being silently ignored."""
 
-    def test_parallel_executor_shim_message(self):
-        from repro.experiments.parallel import ParallelExecutor
-
-        with pytest.warns(DeprecationWarning,
-                          match=r"ParallelExecutor\(reference_core=True\) is "
-                                r"deprecated; use core='reference'"):
-            ParallelExecutor(jobs=1, reference_core=True)
+    @pytest.mark.parametrize("spelling", sorted(RETIRED_SPELLINGS))
+    def test_retired_spelling_fails_loudly(self, spelling, capsys):
+        error, attempt = RETIRED_SPELLINGS[spelling]
+        with pytest.raises(error) as excinfo:
+            attempt()
+        if error is SystemExit:
+            assert excinfo.value.code == 2
+            assert "--reference-core" in capsys.readouterr().err
+        elif error is ConfigurationError:
+            assert "core_backend" in str(excinfo.value)

@@ -208,22 +208,6 @@ class TestCommands:
         assert "'fast', 'reference'" in err
         assert "Traceback" not in err
 
-    def test_reference_core_flag_deprecated_alias(self, capsys):
-        assert main([
-            "dynamic", "--config", "gf100", "--workload", "vecadd",
-            "--param", "n=96", "--buckets", "4", "--reference-core",
-        ]) == 0
-        captured = capsys.readouterr()
-        assert "deprecated" in captured.err
-        assert "--core reference" in captured.err
-
-    def test_reference_core_conflicting_core_rejected(self, capsys):
-        assert main([
-            "dynamic", "--config", "gf100", "--workload", "vecadd",
-            "--core", "fast", "--reference-core",
-        ]) == 2
-        assert "conflicts" in capsys.readouterr().err
-
 
 class TestSmokeCoreMatrix:
     def test_smoke_report_counts_cores(self, capsys, monkeypatch):

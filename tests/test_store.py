@@ -243,9 +243,9 @@ class TestStoreKey:
                 != shadowed.store_key(CHEAP).config_hash)
 
     def test_reference_core_normalized_out(self):
+        """The fast and reference cores share one store key."""
         fast = Session()
-        with pytest.deprecated_call():
-            reference = Session(reference_core=True)
+        reference = Session(core="reference")
         assert (fast.store_key(CHEAP).as_tuple()
                 == reference.store_key(CHEAP).as_tuple())
 
@@ -348,10 +348,10 @@ class TestSessionStore:
         assert len(store) == 1                  # still written through
 
     def test_reference_core_serves_fast_path_results(self):
+        """A result the fast core stored serves the reference core."""
         store = MemoryStore()
         Session(store=store).run(CHEAP)
-        with pytest.deprecated_call():
-            reference = Session(store=store, reference_core=True)
+        reference = Session(store=store, core="reference")
         reference.run(CHEAP)
         assert reference.counters() == {
             "cache_hits": 0, "cache_misses": 1, "store_hits": 1,

@@ -152,6 +152,14 @@ class TestLoaderDiagnostics:
         with pytest.raises(BundleError, match="bundle.toml"):
             load_bundle_files(files)
 
+    def test_toml_syntax_error_names_file_and_line(self):
+        files = corpus_files()
+        files["bundle.toml"] = files["bundle.toml"].replace(
+            'name = "saxpy"', 'name = "saxpy')
+        with pytest.raises(BundleError, match="bundle.toml") as excinfo:
+            load_bundle_files(files)
+        assert "line 6" in str(excinfo.value)
+
     def test_wrong_expected_outputs_fail_verification(self):
         # Structurally valid but numerically wrong expected.csv loads
         # fine and then fails verify() — the runtime half of the check.
