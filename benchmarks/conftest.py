@@ -8,7 +8,6 @@ With ``pytest --record-results`` it also saves the same text under
 
 from __future__ import annotations
 
-import os
 import pathlib
 
 import pytest
@@ -16,9 +15,8 @@ import pytest
 from repro.experiments import Experiment, Session
 from repro.gpu import fermi_gf100
 
-#: Worker processes used by the parallel-executor benchmark (override with
-#: REPRO_BENCH_JOBS; CI runners typically have 2-4 cores).
-BENCH_JOBS = int(os.environ.get("REPRO_BENCH_JOBS", "2"))
+#: Worker processes for the serial-vs-parallel identity benchmarks.
+BENCH_JOBS = 2
 
 #: Where benchmark output tables are written (with ``--record-results``).
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"

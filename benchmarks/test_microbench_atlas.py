@@ -3,9 +3,9 @@
 The atlas is the controlled-kernel version of the paper's headline
 sweep: the synthetic ``microbench`` workload dials one axis at a time
 while a configuration transform injects latency.  The first benchmark
-records the cost of the canonical ILP x DRAM-latency atlas and asserts
-its physics: raising instruction-level parallelism (more independent
-dependency chains per warp at a fixed serial budget) must *lower* the
+runs the canonical ILP x DRAM-latency atlas and asserts its physics:
+raising instruction-level parallelism (more independent dependency
+chains per warp at a fixed serial budget) must *lower* the
 cycles-per-injected-cycle slope, and raising memory-level parallelism
 (more outstanding loads per chain step at constant serial depth) must
 not *reduce* total cycles — the extra loads only add MSHR/bandwidth
@@ -15,8 +15,6 @@ the determinism contract behind ``repro atlas --jobs``.
 """
 
 import time
-
-import pytest
 
 from benchmarks.conftest import BENCH_JOBS, save_and_print
 from repro.analysis import atlas_metrics_table, format_atlas_report
@@ -39,12 +37,8 @@ ILP_ATLAS = LatencyToleranceAtlas(
 MLP_VALUES = (1, 2, 4, 8)
 
 
-@pytest.mark.benchmark(group="microbench-atlas")
-def test_microbench_ilp_atlas(benchmark):
-    result = benchmark.pedantic(
-        lambda: ILP_ATLAS.run(session=Session(cache=False)),
-        rounds=1, iterations=1,
-    )
+def test_microbench_ilp_atlas():
+    result = ILP_ATLAS.run(session=Session(cache=False))
 
     slopes = [slope for _value, slope in result.slopes()]
     assert all(slope is not None and slope > 0 for slope in slopes)
@@ -64,17 +58,13 @@ def test_microbench_ilp_atlas(benchmark):
     )
 
 
-@pytest.mark.benchmark(group="microbench-atlas")
-def test_microbench_mlp_monotone_cycles(benchmark):
-    def run_mlp_sweep():
-        session = Session(cache=False)
-        return [
-            session.run(Experiment.dynamic("gf106", "microbench",
-                                           mlp=mlp, iters=32)).total_cycles
-            for mlp in MLP_VALUES
-        ]
-
-    cycles = benchmark.pedantic(run_mlp_sweep, rounds=1, iterations=1)
+def test_microbench_mlp_monotone_cycles():
+    session = Session(cache=False)
+    cycles = [
+        session.run(Experiment.dynamic("gf106", "microbench",
+                                       mlp=mlp, iters=32)).total_cycles
+        for mlp in MLP_VALUES
+    ]
     assert cycles == sorted(cycles), (
         f"extra outstanding loads at constant serial depth must not "
         f"reduce cycles: {cycles}"
@@ -93,18 +83,14 @@ def test_microbench_mlp_monotone_cycles(benchmark):
     )
 
 
-@pytest.mark.benchmark(group="microbench-atlas")
-def test_microbench_atlas_parallel_matches_serial(benchmark):
+def test_microbench_atlas_parallel_matches_serial():
     start = time.perf_counter()
     serial = ILP_ATLAS.run(session=Session(cache=False))
     serial_seconds = time.perf_counter() - start
 
-    parallel = benchmark.pedantic(
-        lambda: ILP_ATLAS.run(session=Session(cache=False),
-                              jobs=BENCH_JOBS),
-        rounds=1, iterations=1,
-    )
-    parallel_seconds = benchmark.stats.stats.mean
+    start = time.perf_counter()
+    parallel = ILP_ATLAS.run(session=Session(cache=False), jobs=BENCH_JOBS)
+    parallel_seconds = time.perf_counter() - start
 
     assert parallel.to_json() == serial.to_json()
 
@@ -131,8 +117,9 @@ def test_microbench_atlas_parallel_matches_serial(benchmark):
         ),
     )
 
-    # No wall-clock ratio assert: shared CI runners make relative-timing
-    # asserts flaky; regressions are gated by check_regression.py.
+    # No wall-clock ratio assert: one timed pass of each leg on a shared
+    # runner is too noisy to gate on.  The table only reports the times;
+    # perfbench/ measures host time with repeats and spread.
 
     save_and_print(
         "microbench_atlas_metrics",

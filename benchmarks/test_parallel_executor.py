@@ -10,8 +10,6 @@ executor's core contract), and records the wall-clock comparison.
 
 import time
 
-import pytest
-
 from benchmarks.conftest import BENCH_JOBS, run_experiments, save_and_print
 from repro.analysis import comparison_table
 from repro.experiments import Experiment
@@ -24,17 +22,14 @@ GRID = Experiment.grid(
 )
 
 
-@pytest.mark.benchmark(group="parallel-executor")
-def test_parallel_grid_matches_serial(benchmark):
+def test_parallel_grid_matches_serial():
     start = time.perf_counter()
     serial = run_experiments(GRID, jobs=1)
     serial_seconds = time.perf_counter() - start
 
-    parallel = benchmark.pedantic(
-        lambda: run_experiments(GRID, jobs=BENCH_JOBS),
-        rounds=1, iterations=1,
-    )
-    parallel_seconds = benchmark.stats.stats.mean
+    start = time.perf_counter()
+    parallel = run_experiments(GRID, jobs=BENCH_JOBS)
+    parallel_seconds = time.perf_counter() - start
 
     assert parallel.to_json() == serial.to_json()
 
@@ -60,6 +55,6 @@ def test_parallel_grid_matches_serial(benchmark):
         ),
     )
 
-    # No wall-clock ratio assert: shared CI runners make relative-timing
-    # asserts flaky, and regressions are gated by check_regression.py
-    # against the recorded mean instead.
+    # No wall-clock ratio assert: one timed pass of each leg on a shared
+    # runner is too noisy to gate on.  The table only reports the times;
+    # perfbench/ measures host time with repeats and spread.

@@ -5,17 +5,15 @@ tolerate?" by perturbing latencies and measuring the exposed slowdown.
 ``SensitivityStudy`` runs that experiment end to end: derive perturbed
 configurations with declarative transforms, simulate every sweep point
 through the experiment layer, and fit tolerance metrics.  The first
-benchmark records the cost of the canonical serial BFS x DRAM-latency
-sweep (asserting the physics: a monotone non-decreasing cycles curve
-and a positive cycles-per-injected-cycle slope); the second shards a
+benchmark runs the canonical serial BFS x DRAM-latency sweep
+(asserting the physics: a monotone non-decreasing cycles curve and a
+positive cycles-per-injected-cycle slope); the second shards a
 sweep across worker processes and asserts the result is byte-identical
 to the serial run — the determinism contract the CLI's ``--jobs``
 relies on.
 """
 
 import time
-
-import pytest
 
 from benchmarks.conftest import BENCH_JOBS, save_and_print
 from repro.analysis import comparison_table, metrics_summary, sensitivity_table
@@ -42,12 +40,8 @@ PARALLEL_STUDY = SensitivityStudy(
 )
 
 
-@pytest.mark.benchmark(group="sensitivity")
-def test_sensitivity_dram_sweep(benchmark):
-    result = benchmark.pedantic(
-        lambda: DRAM_STUDY.run(session=Session(cache=False)),
-        rounds=1, iterations=1,
-    )
+def test_sensitivity_dram_sweep():
+    result = DRAM_STUDY.run(session=Session(cache=False))
     curve = result.curve("scale_dram_latency")
 
     cycles = [point.cycles for point in curve.points]
@@ -63,18 +57,15 @@ def test_sensitivity_dram_sweep(benchmark):
     )
 
 
-@pytest.mark.benchmark(group="sensitivity")
-def test_sensitivity_parallel_matches_serial(benchmark):
+def test_sensitivity_parallel_matches_serial():
     start = time.perf_counter()
     serial = PARALLEL_STUDY.run(session=Session(cache=False))
     serial_seconds = time.perf_counter() - start
 
-    parallel = benchmark.pedantic(
-        lambda: PARALLEL_STUDY.run(session=Session(cache=False),
-                                   jobs=BENCH_JOBS),
-        rounds=1, iterations=1,
-    )
-    parallel_seconds = benchmark.stats.stats.mean
+    start = time.perf_counter()
+    parallel = PARALLEL_STUDY.run(session=Session(cache=False),
+                                  jobs=BENCH_JOBS)
+    parallel_seconds = time.perf_counter() - start
 
     assert parallel.to_json() == serial.to_json()
 
@@ -100,5 +91,6 @@ def test_sensitivity_parallel_matches_serial(benchmark):
         ),
     )
 
-    # No wall-clock ratio assert: shared CI runners make relative-timing
-    # asserts flaky; regressions are gated by check_regression.py.
+    # No wall-clock ratio assert: one timed pass of each leg on a shared
+    # runner is too noisy to gate on.  The table only reports the times;
+    # perfbench/ measures host time with repeats and spread.

@@ -46,6 +46,8 @@ import concurrent.futures
 import multiprocessing
 import os
 import sys
+import threading
+import time
 from dataclasses import dataclass
 from typing import (
     Any,
@@ -67,6 +69,9 @@ from repro.utils.errors import ExperimentError
 #: The per-process session owned by each pool worker.  Module-level so the
 #: pool initializer can build it once and every task reuses it.
 _WORKER_SESSION = None
+
+#: How often a pool worker checks that the process that forked it lives.
+_PARENT_POLL_SECONDS = 1.0
 
 
 def default_jobs() -> int:
@@ -90,12 +95,30 @@ def _start_method() -> str:
     return multiprocessing.get_start_method(allow_none=False)
 
 
+def _exit_when_orphaned(parent_pid: int) -> None:
+    """Watchdog loop: end this worker once its parent process is gone.
+
+    Forked workers inherit the write end of the pool's call-queue pipe,
+    so a parent that dies without shutting the pool down (SIGKILL,
+    OOM kill) never shows them EOF: they would sleep forever,
+    reparented to init.  Reparenting changes ``getppid``, which this
+    loop polls from a daemon thread, off the simulation thread.
+    """
+    while os.getppid() == parent_pid:
+        time.sleep(_PARENT_POLL_SECONDS)
+    os._exit(1)
+
+
 def _init_worker(configs: Dict[str, GPUConfig],
                  core: Optional[str] = None) -> None:
     """Pool initializer: build this worker's long-lived session once."""
     global _WORKER_SESSION
     from repro.experiments.session import Session  # deferred: avoid cycle
 
+    parent = multiprocessing.parent_process()
+    if parent is not None:
+        threading.Thread(target=_exit_when_orphaned, args=(parent.pid,),
+                         name="repro-orphan-watchdog", daemon=True).start()
     _WORKER_SESSION = Session(cache=True, configs=configs, core=core)
 
 

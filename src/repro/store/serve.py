@@ -13,8 +13,10 @@ API
 ``POST /run``
     Body: one experiment spec object (or ``{"experiment": {...}}``).
     Response: ``{"source": "cache"|"store"|"simulated"|"in-flight",
-    "key": {...}, "record": {...}}``.  Malformed specs are 400s with
-    ``{"error": ...}``; simulator failures are 500s.
+    "key": {...}, "record": {...}}``.  Malformed specs and a negative
+    or non-numeric ``Content-Length`` are 400s with ``{"error": ...}``;
+    a body over :data:`MAX_REQUEST_BYTES` (1 MiB) is a 413, refused
+    before it is read; simulator failures are 500s.
 ``GET /stats``
     Serve counters, session run counters, and the store's usage summary.
 ``GET /healthz``
@@ -44,6 +46,9 @@ from repro.utils.errors import ReproError
 
 #: Sources a brokered request can resolve with.
 REQUEST_SOURCES = ("cache", "store", "simulated", "in-flight")
+
+#: Largest ``POST /run`` body accepted; an experiment spec is a few KiB.
+MAX_REQUEST_BYTES = 1 << 20
 
 
 class _InFlight:
@@ -194,8 +199,25 @@ class _ServeHandler(BaseHTTPRequestHandler):
             self._reply(404, {"error": f"unknown path {self.path!r}; "
                                        f"try POST /run"})
             return
+        header = self.headers.get("Content-Length", "0")
         try:
-            length = int(self.headers.get("Content-Length", "0"))
+            length = int(header)
+        except ValueError:
+            length = -1
+        # Both refusals leave the body unread, so the connection is closed
+        # rather than reused.
+        if length < 0:
+            self.close_connection = True
+            self._reply(400, {"error": f"invalid Content-Length header "
+                                       f"{header!r}"})
+            return
+        if length > MAX_REQUEST_BYTES:
+            self.close_connection = True
+            self._reply(413, {"error": f"Content-Length header {length} "
+                                       f"exceeds the {MAX_REQUEST_BYTES}-"
+                                       f"byte request limit"})
+            return
+        try:
             body = self.rfile.read(length) if length else b""
             spec = json.loads(body.decode("utf-8")) if body else None
         except (ValueError, UnicodeDecodeError) as exc:

@@ -6,6 +6,7 @@ HTTP surface is exercised end to end against a real server on an
 ephemeral port with the real simulator underneath.
 """
 
+import http.client
 import json
 import threading
 import urllib.error
@@ -15,7 +16,8 @@ import pytest
 
 from repro.experiments import Experiment, Session
 from repro.store import MemoryStore, RequestBroker, ReproServer, StoreKey
-from repro.utils.errors import ExperimentError, ReproError
+from repro.store.serve import MAX_REQUEST_BYTES
+from repro.utils.errors import ReproError
 
 CHEAP_SPEC = {"kind": "dynamic", "configs": ["gf100"],
               "workload": "vecadd", "params": {"n": 96, "buckets": 4}}
@@ -160,6 +162,21 @@ def _post(server, payload):
         return json.load(response)
 
 
+def _post_with_length(server, length):
+    """POST /run with a bare ``Content-Length`` header and no body sent;
+    returns ``(status, error message)``."""
+    host, port = server.server_address[:2]
+    connection = http.client.HTTPConnection(host, port, timeout=10)
+    try:
+        connection.putrequest("POST", "/run")
+        connection.putheader("Content-Length", str(length))
+        connection.endheaders()
+        response = connection.getresponse()
+        return response.status, json.load(response)["error"]
+    finally:
+        connection.close()
+
+
 class TestHTTP:
     def test_run_then_cache_hit(self, server):
         first = _post(server, CHEAP_SPEC)
@@ -200,6 +217,20 @@ class TestHTTP:
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             _post(server, b"")
         assert excinfo.value.code == 400
+
+    def test_negative_content_length_is_400(self, server):
+        status, error = _post_with_length(server, -1)
+        assert status == 400
+        assert "Content-Length" in error and "-1" in error
+
+    def test_oversized_content_length_is_413(self, server):
+        status, error = _post_with_length(server, MAX_REQUEST_BYTES + 1)
+        assert status == 413
+        assert "Content-Length" in error
+        assert str(MAX_REQUEST_BYTES + 1) in error
+        # Refused before reading: the server still answers.
+        with urllib.request.urlopen(_url(server, "/healthz")) as response:
+            assert json.load(response) == {"ok": True}
 
     def test_unknown_paths_are_404(self, server):
         for path in ("/nope", "/run/extra"):

@@ -15,6 +15,7 @@ import signal
 import subprocess
 import sys
 import textwrap
+import time
 
 import pytest
 
@@ -382,6 +383,15 @@ class TestSessionStore:
 HAS_FORK = "fork" in __import__("multiprocessing").get_all_start_methods()
 
 
+def _exited(pid):
+    """True once ``pid`` is gone or a zombie (init may never reap it)."""
+    try:
+        with open(f"/proc/{pid}/status") as status:
+            return "\nState:\tZ" in status.read()
+    except (FileNotFoundError, ProcessLookupError):
+        return True
+
+
 @pytest.mark.skipif(not HAS_FORK, reason="needs fork start method")
 class TestSessionStoreParallel:
     def test_parallel_counters_match_serial(self):
@@ -461,8 +471,9 @@ class TestResume:
     @pytest.mark.skipif(not HAS_FORK, reason="needs fork start method")
     def test_sigkill_mid_flight_resumes_missing_cells(self, tmp_path):
         store_path = str(tmp_path / "killed.sqlite")
+        pids_path = tmp_path / "worker-pids.txt"
         script = textwrap.dedent(f"""
-            import os, signal
+            import multiprocessing, os, signal
             from repro.experiments import Experiment, Session
 
             grid = Experiment.grid(
@@ -476,6 +487,10 @@ class TestResume:
                 if source == "simulated":
                     state["simulated"] += 1
                     if state["simulated"] == 2:
+                        pids = [child.pid for child
+                                in multiprocessing.active_children()]
+                        with open({str(pids_path)!r}, "w") as out:
+                            out.write(" ".join(map(str, pids)))
                         os.kill(os.getpid(), signal.SIGKILL)
 
             session.run_all(grid, jobs=2, progress=progress)
@@ -484,12 +499,21 @@ class TestResume:
         env["PYTHONPATH"] = os.pathsep.join(
             [os.path.join(os.path.dirname(__file__), "..", "src")]
             + env.get("PYTHONPATH", "").split(os.pathsep))
-        # No pipes: the forked pool workers inherit them and outlive the
-        # SIGKILLed parent, so capture_output would hang waiting for EOF.
+        # No pipes: the forked pool workers inherit them, so
+        # capture_output would wait for the workers as well.
         process = subprocess.Popen(
             [sys.executable, "-c", script], env=env,
             stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
         assert process.wait(timeout=300) == -signal.SIGKILL
+
+        # The orphaned pool workers notice the dead parent and exit.
+        worker_pids = [int(pid) for pid in pids_path.read_text().split()]
+        assert len(worker_pids) == 2
+        deadline = time.monotonic() + 10
+        while (not all(map(_exited, worker_pids))
+               and time.monotonic() < deadline):
+            time.sleep(0.1)
+        assert [pid for pid in worker_pids if not _exited(pid)] == []
 
         # Store writes commit before progress fires, so the two announced
         # completions are durably stored despite the SIGKILL.
